@@ -17,6 +17,7 @@ from .kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
     RidgePolicy,
+    check_stack_settings,
     initial_dictionary,
     ista_sparse_code,
     ridge_code,
@@ -56,20 +57,9 @@ class TrainConfig:
     ridge: RidgePolicy = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if len(self.layer_sizes) != self.depth:
-            raise ValueError("layer_sizes length must equal depth")
-        if any(k < 1 for k in self.layer_sizes):
-            raise ValueError("layer sizes must be >= 1")
+        check_stack_settings(self)
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be >= 0")
-        if self.iters_per_layer < 1:
-            raise ValueError("iters_per_layer must be >= 1")
-        if self.init not in ("qr", "random"):
-            raise ValueError(f"unknown init mode: {self.init!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass

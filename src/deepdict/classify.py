@@ -146,37 +146,38 @@ def knn_predict(
         raise ValueError("train and test codes must have the same dimension")
     if np.asarray(train_labels).shape != (n_train,):
         raise ValueError("train_labels must have one entry per training column")
-    labels = np.asarray(train_labels)
     dist = _pairwise_euclidean(train_codes, test_codes)
     order = np.argsort(dist, axis=0, kind="stable")
+    return _votes(np.asarray(train_labels), dist, order, k)
+
+
+def _votes(train_labels: np.ndarray, dist: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
+    """The vote of each column's k nearest rows of ``dist`` (``order`` sorts them)."""
     return np.array(
-        [_vote(labels, dist[:, j], order[:k, j]) for j in range(test_codes.shape[1])],
+        [_vote(train_labels, dist[:, j], order[:k, j]) for j in range(dist.shape[1])],
         dtype=np.int64,
     )
+
+
+def _accuracy_sweep(
+    dist: np.ndarray, train_labels: np.ndarray, targets: np.ndarray, ks: list[int]
+) -> np.ndarray:
+    """Accuracy at every k of the vote among each column's k nearest rows of ``dist``."""
+    order = np.argsort(dist, axis=0, kind="stable")
+    return np.array([np.mean(_votes(train_labels, dist, order, k) == targets) for k in ks])
 
 
 def _loocv_neighbor_choice(
     train_codes: np.ndarray, train_labels: np.ndarray, ks: list[int]
 ) -> int:
     """Leave-one-out accuracy over the training codes; smallest best k wins."""
-    n = train_codes.shape[1]
-    dist = _pairwise_euclidean(train_codes, train_codes)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=0, kind="stable")
-    valid = [k for k in ks if k <= n - 1]
+    valid = [k for k in ks if k <= train_codes.shape[1] - 1]
     if not valid:
         return ks[0]
-    best_k = valid[0]
-    best_acc = -1.0
-    for k in valid:
-        preds = np.array(
-            [_vote(train_labels, dist[:, j], order[:k, j]) for j in range(n)]
-        )
-        acc = float(np.mean(preds == train_labels))
-        if acc > best_acc:
-            best_acc = acc
-            best_k = k
-    return best_k
+    dist = _pairwise_euclidean(train_codes, train_codes)
+    np.fill_diagonal(dist, np.inf)
+    accuracies = _accuracy_sweep(dist, train_labels, train_labels, valid)
+    return valid[int(np.argmax(accuracies))]  # first max: smallest such k
 
 
 def evaluate_accuracy(
@@ -203,14 +204,7 @@ def evaluate_accuracy(
         raise ValueError("no valid neighbor size: training set is too small")
 
     dist = _pairwise_euclidean(train_codes, test_codes)
-    order = np.argsort(dist, axis=0, kind="stable")
-    accuracies = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        preds = np.array(
-            [_vote(labels, dist[:, j], order[:k, j]) for j in range(test_codes.shape[1])]
-        )
-        accuracies[i] = float(np.mean(preds == targets))
-
+    accuracies = _accuracy_sweep(dist, labels, targets, ks)
     best_pos = int(np.argmax(accuracies))  # first max: smallest such k
     best_k = ks[best_pos]
     best_accuracy = float(accuracies[best_pos])

@@ -16,57 +16,38 @@ import csv
 import os
 import sys
 
-import numpy as np
-
-from .baseline import code_test_ddl, train_ddl
-from .classify import KnnConfig, code_test_ddlic, evaluate_accuracy
-from .data import load_labeled_matrix, make_synthetic_clusters, save_labeled_matrix
+from .classify import evaluate_accuracy
+from .data import make_synthetic_clusters, save_labeled_matrix
 from .harness import (
-    _ddl_config,
-    _ddlic_config,
+    CONFIG_KEYS,
     build_experiment_config,
+    code_test,
+    export_embeddings,
+    fit_model,
     grid_search_alpha,
     load_experiment_data,
     parse_config_file,
     run_experiment,
-    export_embeddings,
 )
-from .intraclass import DdlicModel, train_ddlic
 from .model_io import load_model, save_model
-
-_OVERLAY_KEYS = (
-    "method",
-    "data",
-    "format",
-    "labels",
-    "normalize",
-    "depth",
-    "layer_sizes",
-    "alphas",
-    "l1_weight",
-    "iters",
-    "init",
-    "seed",
-    "h",
-    "replicates",
-    "knn_min",
-    "knn_max",
-    "knn_selection",
-    "alpha_grid",
-    "grid_mode",
-    "workers",
-    "out",
-)
 
 
 def _gather_values(args: argparse.Namespace) -> dict[str, str]:
     """Config-file values overlaid with any flags the user supplied."""
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _OVERLAY_KEYS:
+    for key in CONFIG_KEYS:  # a flag's dest (--layer-sizes: layer_sizes) is its key
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     return values
+
+
+def _load_model_and_data(args: argparse.Namespace):
+    """Config from the data (and KNN) flags, the saved model, and the dataset."""
+    if args.data is None:
+        raise ValueError("--data is required")
+    cfg = build_experiment_config(_gather_values(args))
+    return cfg, load_model(args.model), load_experiment_data(cfg)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -88,23 +69,32 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("ddl", "ddlic"), help="training method")
     p.add_argument("--depth", help="number of layers (must match --layer-sizes)")
-    p.add_argument("--layer-sizes", dest="layer_sizes", help="comma-separated atoms per layer")
+    p.add_argument("--layer-sizes", help="comma-separated atoms per layer")
     p.add_argument("--alphas", help="per-layer compactness weights (one value broadcasts)")
-    p.add_argument("--l1-weight", dest="l1_weight", help="sparsity weight for method ddl")
+    p.add_argument("--l1-weight", help="sparsity weight for method ddl")
     p.add_argument("--iters", help="alternating updates per layer")
     p.add_argument("--init", choices=("qr", "random"), help="first-layer dictionary init")
     p.add_argument("--seed", help="base random seed")
 
 
 def _add_knn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--knn-min", dest="knn_min", help="smallest neighbor count")
-    p.add_argument("--knn-max", dest="knn_max", help="largest neighbor count")
+    p.add_argument("--knn-min", help="smallest neighbor count")
+    p.add_argument("--knn-max", help="largest neighbor count")
     p.add_argument(
         "--knn-selection",
-        dest="knn_selection",
         choices=("best", "cv"),
         help="report the best k on the curve, or pick k by leave-one-out",
     )
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    _add_config_flag(p)
+    _add_data_flags(p)
+    _add_method_flags(p)
+    _add_knn_flags(p)
+    p.add_argument("--h", help="training samples reserved per class")
+    p.add_argument("--replicates", help="number of independent splits")
+    p.add_argument("--workers", help="worker processes for replicates")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -120,47 +110,28 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    values = _gather_values(args)
-    values.pop("out", None)
-    cfg = build_experiment_config(values)
+    cfg = build_experiment_config(_gather_values(args))
     data = load_experiment_data(cfg)
-    if cfg.method == "ddlic":
-        model = train_ddlic(data, _ddlic_config(cfg, cfg.seed))
-    else:
-        model = train_ddl(data.features, _ddl_config(cfg, cfg.seed))
-        model.labels = np.asarray(data.original_labels)
-    save_model(model, args.out)
-    print(f"saved {cfg.method} model ({data.num_samples} samples) to {args.out}")
+    model = fit_model(cfg, data, cfg.seed)
+    save_model(model, args.model_dir)
+    print(f"saved {cfg.method} model ({data.num_samples} samples) to {args.model_dir}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.data is None:
-        raise ValueError("--data is required")
-    model = load_model(args.model)
+    cfg, model, data = _load_model_and_data(args)
     if model.labels is None:
         raise ValueError("model has no stored training labels; cannot classify")
-    data = load_labeled_matrix(
-        args.data, args.format or "dense", args.labels, bool(args.normalize)
-    )
-    knn = KnnConfig(
-        k_min=int(args.knn_min) if args.knn_min is not None else 1,
-        k_max=int(args.knn_max) if args.knn_max is not None else 30,
-        selection=args.knn_selection or "best",
-    )
-    if isinstance(model, DdlicModel):
-        test_codes = code_test_ddlic(model, data.features)
-    else:
-        test_codes = code_test_ddl(model, data.features)
+    test_codes = code_test(model, data.features)
     report = evaluate_accuracy(
-        model.train_repr, model.labels, test_codes, data.original_labels, knn
+        model.train_repr, model.labels, test_codes, data.original_labels, cfg.knn
     )
     for k, acc in zip(report.ks, report.accuracies):
         print(f"k={k} accuracy={float(acc)!r}")
     print(f"selected k={report.selected_k} accuracy={report.selected_accuracy!r}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "accuracy_curve.csv")
+    if args.curve_dir:
+        os.makedirs(args.curve_dir, exist_ok=True)
+        path = os.path.join(args.curve_dir, "accuracy_curve.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "accuracy"])
@@ -214,14 +185,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if args.data is None:
-        raise ValueError("--data is required")
-    model = load_model(args.model)
-    data = load_labeled_matrix(
-        args.data, args.format or "dense", args.labels, bool(args.normalize)
-    )
-    paths = export_embeddings(model, data, args.out)
-    print(f"wrote {len(paths)} files to {args.out}")
+    _, model, data = _load_model_and_data(args)
+    paths = export_embeddings(model, data, args.export_dir)
+    print(f"wrote {len(paths)} files to {args.export_dir}")
     return 0
 
 
@@ -234,8 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic clustered dataset")
     p.add_argument("--classes", type=int, required=True, help="number of clusters")
-    p.add_argument("--per-class", dest="per_class", type=int, required=True,
-                   help="samples per cluster")
+    p.add_argument("--per-class", type=int, required=True, help="samples per cluster")
     p.add_argument("--dim", type=int, required=True, help="feature dimension")
     p.add_argument("--separation", type=float, default=6.0,
                    help="smallest distance between cluster centers")
@@ -247,45 +212,34 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     _add_data_flags(p)
     _add_method_flags(p)
-    p.add_argument("--out", required=True, help="model directory to create")
+    # Where train, eval and export write is not the config key ``out``.
+    p.add_argument("--out", dest="model_dir", required=True, help="model directory to create")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a test file")
     p.add_argument("--model", required=True, help="model directory")
     _add_data_flags(p)
     _add_knn_flags(p)
-    p.add_argument("--out", help="directory for the accuracy curve CSV")
+    p.add_argument("--out", dest="curve_dir", help="directory for the accuracy curve CSV")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("experiment", help="repeated random splits with aggregation")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    _add_method_flags(p)
-    _add_knn_flags(p)
-    p.add_argument("--h", dest="h", help="training samples reserved per class")
-    p.add_argument("--replicates", help="number of independent splits")
-    p.add_argument("--workers", help="worker processes for replicates")
+    _add_experiment_flags(p)
     p.add_argument("--out", help="directory for report.csv and summary.txt")
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("grid", help="scan compactness weights, report the best")
-    _add_config_flag(p)
-    _add_data_flags(p)
-    _add_method_flags(p)
-    _add_knn_flags(p)
-    p.add_argument("--h", dest="h", help="training samples reserved per class")
-    p.add_argument("--replicates", help="number of independent splits")
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="comma-separated grid values")
-    p.add_argument("--grid-mode", dest="grid_mode", choices=("shared", "full"),
+    _add_experiment_flags(p)
+    p.add_argument("--alpha-grid", help="comma-separated grid values")
+    p.add_argument("--grid-mode", choices=("shared", "full"),
                    help="one weight for all layers, or the full per-layer product")
-    p.add_argument("--workers", help="worker processes for replicates")
     p.add_argument("--out", help="directory for grid.csv")
     p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("export", help="dump per-layer embeddings of training data")
     p.add_argument("--model", required=True, help="model directory")
     _add_data_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="export_dir", required=True, help="output directory")
     p.set_defaults(handler=_cmd_export)
 
     return parser

@@ -15,12 +15,14 @@ import itertools
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .baseline import DdlModel, TrainConfig, code_test_ddl, train_ddl
+from .baseline import TrainConfig, code_test_ddl, train_ddl
 from .classify import KnnConfig, code_layers, code_test_ddlic, evaluate_accuracy
 from .data import (
     LabeledMatrix,
@@ -33,12 +35,15 @@ from .intraclass import DdlicConfig, DdlicModel, train_ddlic
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
+    "CONFIG_KEYS",
     "SyntheticSpec",
     "ExperimentConfig",
     "ReplicateResult",
     "ExperimentReport",
     "GridRow",
     "load_experiment_data",
+    "fit_model",
+    "code_test",
     "evaluate_experiment",
     "run_experiment",
     "grid_search_alpha",
@@ -100,20 +105,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown data format: {self.data_format!r}")
         if self.grid_mode not in ("shared", "full"):
             raise ValueError(f"unknown grid mode: {self.grid_mode!r}")
-        if any(k < 1 for k in self.layer_sizes) or not self.layer_sizes:
-            raise ValueError("layer_sizes must be non-empty positive integers")
-        if len(self.alphas) != len(self.layer_sizes):
-            raise ValueError("alphas length must match layer_sizes")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("alphas must be >= 0")
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be >= 0")
-        if self.iters_per_layer < 1:
-            raise ValueError("iters_per_layer must be >= 1")
-        if self.init not in ("qr", "random"):
-            raise ValueError(f"unknown init mode: {self.init!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # Both trainers' configs check the method settings, whichever method
+        # runs, so a grid or a method switch never meets an invalid one.
+        _ddlic_config(self, self.seed)
+        _ddl_config(self, self.seed)
         if self.train_per_class is not None and self.train_per_class < 1:
             raise ValueError("train_per_class must be >= 1")
         if self.replicates < 1:
@@ -152,6 +147,7 @@ class ExperimentReport:
     n_failed: int
     scatter_names: tuple[str, ...]
     scatter_means: tuple[float, ...]
+    wall_seconds: float = 0.0  # elapsed time of all replicates, workers included
 
 
 @dataclass
@@ -162,40 +158,60 @@ class GridRow:
     n_failed: int
 
 
+def _check_one_dataset(cfg: ExperimentConfig) -> None:
+    if cfg.data_path and cfg.synthetic:
+        raise ValueError("configure either data= or synth_*, not both")
+    if not cfg.data_path and not cfg.synthetic:
+        raise ValueError("no dataset configured: set data= or the synth_* keys")
+
+
 def load_experiment_data(cfg: ExperimentConfig) -> LabeledMatrix:
     """Materialize the configured dataset (file or synthetic)."""
-    if cfg.data_path and cfg.synthetic:
-        raise ValueError("configure either a data file or a synthetic dataset, not both")
+    _check_one_dataset(cfg)
     if cfg.data_path:
         return load_labeled_matrix(
             cfg.data_path, cfg.data_format, cfg.labels_path, cfg.normalize
         )
-    if cfg.synthetic:
-        s = cfg.synthetic
-        return make_synthetic_clusters(s.classes, s.per_class, s.dim, s.separation, cfg.seed)
-    raise ValueError("no dataset configured: set a data path or synthetic spec")
+    s = cfg.synthetic
+    return make_synthetic_clusters(s.classes, s.per_class, s.dim, s.separation, cfg.seed)
+
+
+def _stack_settings(cfg: ExperimentConfig, seed: int) -> dict:
+    """The settings both trainers' configs take from an experiment."""
+    return dict(
+        depth=len(cfg.layer_sizes),
+        layer_sizes=cfg.layer_sizes,
+        iters_per_layer=cfg.iters_per_layer,
+        seed=seed,
+        init=cfg.init,
+    )
 
 
 def _ddlic_config(cfg: ExperimentConfig, seed: int) -> DdlicConfig:
-    return DdlicConfig(
-        depth=len(cfg.layer_sizes),
-        layer_sizes=cfg.layer_sizes,
-        alphas=cfg.alphas,
-        iters_per_layer=cfg.iters_per_layer,
-        seed=seed,
-        init=cfg.init,
-    )
+    return DdlicConfig(alphas=cfg.alphas, **_stack_settings(cfg, seed))
 
 
 def _ddl_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        depth=len(cfg.layer_sizes),
-        layer_sizes=cfg.layer_sizes,
-        l1_weight=cfg.l1_weight,
-        iters_per_layer=cfg.iters_per_layer,
-        seed=seed,
-        init=cfg.init,
-    )
+    return TrainConfig(l1_weight=cfg.l1_weight, **_stack_settings(cfg, seed))
+
+
+def fit_model(cfg: ExperimentConfig, train: LabeledMatrix, seed: int):
+    """Train the configured method on ``train`` with the given seed.
+
+    Either model keeps the training labels, so it can classify on its own.
+    """
+    if cfg.method == "ddlic":
+        return train_ddlic(train, _ddlic_config(cfg, seed))
+    model = train_ddl(train.features, _ddl_config(cfg, seed))
+    model.labels = np.asarray(train.original_labels)
+    return model
+
+
+def code_test(model, features: np.ndarray) -> np.ndarray:
+    """Codes of test samples, comparable with ``model.train_repr``."""
+    if isinstance(model, DdlicModel):
+        return code_test_ddlic(model, features)
+    return code_test_ddl(model, features)
 
 
 def intra_class_scatter_ratio(codes: np.ndarray, class_index) -> float:
@@ -235,12 +251,8 @@ def _run_replicate(cfg: ExperimentConfig, data: LabeledMatrix, r: int) -> Replic
     try:
         spec = SplitSpec(cfg.train_per_class, seed=seed, replicate_index=r)
         train, test = split_per_class(data, spec)
-        if cfg.method == "ddlic":
-            model = train_ddlic(train, _ddlic_config(cfg, seed))
-            test_codes = code_test_ddlic(model, test.features)
-        else:
-            model = train_ddl(train.features, _ddl_config(cfg, seed))
-            test_codes = code_test_ddl(model, test.features)
+        model = fit_model(cfg, train, seed)
+        test_codes = code_test(model, test.features)
         train_seconds = time.perf_counter() - started
         report = evaluate_accuracy(
             model.train_repr,
@@ -298,7 +310,9 @@ def evaluate_experiment(
         raise ValueError("train_per_class (h) is required to run an experiment")
     if data is None:
         data = load_experiment_data(cfg)
+    started = time.perf_counter()
     results = _run_replicates(cfg, data)
+    wall_seconds = time.perf_counter() - started
     ok = [res for res in results if not res.failed]
     if ok:
         accs = np.array([res.accuracy for res in ok])
@@ -323,6 +337,7 @@ def evaluate_experiment(
         n_failed=len(results) - len(ok),
         scatter_names=names,
         scatter_means=means,
+        wall_seconds=wall_seconds,
     )
 
 
@@ -367,8 +382,7 @@ def _write_report_files(report: ExperimentReport, cfg: ExperimentConfig) -> None
         fh.write(f"std_accuracy: {_fmt(report.std_accuracy)}\n")
         for name, value in zip(report.scatter_names, report.scatter_means):
             fh.write(f"mean_scatter_{name}: {_fmt(value)}\n")
-        total = sum(res.total_seconds for res in report.replicates)
-        fh.write(f"wall_seconds: {total:.3f}\n")
+        fh.write(f"wall_seconds: {report.wall_seconds:.3f}\n")
         for res in report.replicates:
             status = "failed: " + res.error if res.failed else (
                 f"accuracy={_fmt(res.accuracy)} best_k={res.best_k}"
@@ -485,33 +499,69 @@ def per_layer_accuracy(
 
 # --- plain-text configuration files -------------------------------------
 
-_CONFIG_KEYS = (
-    "method",
-    "data",
-    "format",
-    "labels",
-    "normalize",
-    "synth_classes",
-    "synth_per_class",
-    "synth_dim",
-    "synth_separation",
-    "depth",
-    "layer_sizes",
-    "alphas",
-    "l1_weight",
-    "iters",
-    "init",
-    "seed",
-    "h",
-    "replicates",
-    "knn_min",
-    "knn_max",
-    "knn_selection",
-    "alpha_grid",
-    "grid_mode",
-    "workers",
-    "out",
-)
+# How a config value is read from text, how it is written back, and what a
+# value that fails to parse should have been.
+_Kind = namedtuple("_Kind", "parse render expected")
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(tok) for tok in text.split(",") if tok.strip())
+
+
+def _render_list(item: Callable[[object], str]) -> Callable[[tuple], str]:
+    return lambda values: ",".join(map(item, values))
+
+
+_TEXT = _Kind(str, str, "text")
+_PATH = _Kind(lambda text: text or None, str, "a path")  # empty means unset
+_INT = _Kind(int, str, "an integer")
+_FLOAT = _Kind(float, _fmt, "a number")
+_BOOL = _Kind(_parse_bool, lambda value: "true" if value else "false", "a boolean")
+_INTS = _Kind(_parse_list(int), _render_list(str), "comma-separated integers")
+_FLOATS = _Kind(_parse_list(float), _render_list(_fmt), "comma-separated numbers")
+_COUNT = _Kind(int, lambda value: str(len(value)), "an integer")  # the length of a list field
+
+# Every config key: the ExperimentConfig field it sets (a dotted path into a
+# nested spec) and the kind of its value. Config files, command-line flags
+# and resolved_config.txt all use these names.
+CONFIG_KEYS = {
+    "method": ("method", _TEXT),
+    "data": ("data_path", _PATH),
+    "format": ("data_format", _TEXT),
+    "labels": ("labels_path", _PATH),
+    "normalize": ("normalize", _BOOL),
+    "synth_classes": ("synthetic.classes", _INT),
+    "synth_per_class": ("synthetic.per_class", _INT),
+    "synth_dim": ("synthetic.dim", _INT),
+    "synth_separation": ("synthetic.separation", _FLOAT),
+    "depth": ("layer_sizes", _COUNT),  # derived; only checked against layer_sizes
+    "layer_sizes": ("layer_sizes", _INTS),
+    "alphas": ("alphas", _FLOATS),
+    "l1_weight": ("l1_weight", _FLOAT),
+    "iters": ("iters_per_layer", _INT),
+    "init": ("init", _TEXT),
+    "seed": ("seed", _INT),
+    "h": ("train_per_class", _INT),
+    "replicates": ("replicates", _INT),
+    "knn_min": ("knn.k_min", _INT),
+    "knn_max": ("knn.k_max", _INT),
+    "knn_selection": ("knn.selection", _TEXT),
+    "alpha_grid": ("alpha_grid", _FLOATS),
+    "grid_mode": ("grid_mode", _TEXT),
+    "workers": ("workers", _INT),
+    "out": ("out_dir", _PATH),
+}
+
+_SYNTH_KEYS = tuple(key for key, (path, _) in CONFIG_KEYS.items() if path.startswith("synthetic"))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -530,157 +580,68 @@ def parse_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _conv_int(values: dict, key: str, default: int | None) -> int | None:
-    if key not in values:
-        return default
+def _parse_value(key: str, text: str):
+    kind = CONFIG_KEYS[key][1]
     try:
-        return int(values[key])
+        return kind.parse(text)
     except ValueError:
-        raise ValueError(f"config key {key!r}: expected an integer, got {values[key]!r}") from None
-
-
-def _conv_float(values: dict, key: str, default: float | None) -> float | None:
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected a number, got {values[key]!r}") from None
-
-
-def _conv_bool(values: dict, key: str, default: bool) -> bool:
-    if key not in values:
-        return default
-    text = values[key].lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"config key {key!r}: expected a boolean, got {values[key]!r}")
-
-
-def _conv_int_list(values: dict, key: str, default: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    if key not in values:
-        return default
-    try:
-        return tuple(int(tok) for tok in values[key].split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected comma-separated integers") from None
-
-
-def _conv_float_list(values: dict, key: str, default: tuple[float, ...] | None) -> tuple[float, ...] | None:
-    if key not in values:
-        return default
-    try:
-        return tuple(float(tok) for tok in values[key].split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected comma-separated numbers") from None
+        raise ValueError(f"config key {key!r}: expected {kind.expected}, got {text!r}") from None
 
 
 def build_experiment_config(values: dict[str, str]) -> ExperimentConfig:
-    """Turn raw ``key=value`` strings into a validated ExperimentConfig."""
-    unknown = set(values) - set(_CONFIG_KEYS)
+    """Turn raw ``key=value`` strings into a validated ExperimentConfig.
+
+    Keys left out keep the dataclass defaults. A single ``alphas`` value,
+    like the default one, applies to every layer.
+    """
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    parsed = {key: _parse_value(key, text) for key, text in values.items()}
 
-    layer_sizes = _conv_int_list(values, "layer_sizes", (400, 200, 100))
-    depth = _conv_int(values, "depth", len(layer_sizes))
-    if depth != len(layer_sizes):
-        raise ValueError(
-            f"depth={depth} does not match layer_sizes of length {len(layer_sizes)}"
-        )
-    alphas = _conv_float_list(values, "alphas", (1e-3,) * depth)
-    if len(alphas) == 1 and depth > 1:
+    depth = len(parsed.get("layer_sizes", ExperimentConfig.layer_sizes))
+    stated = parsed.pop("depth", depth)
+    if stated != depth:
+        raise ValueError(f"depth={stated} does not match layer_sizes of length {depth}")
+    alphas = parsed.get("alphas", ExperimentConfig.alphas[:1])
+    if len(alphas) == 1:
         alphas = alphas * depth
     if len(alphas) != depth:
         raise ValueError(f"alphas must have 1 or {depth} values, got {len(alphas)}")
+    parsed["alphas"] = alphas
 
-    synth_keys = ("synth_classes", "synth_per_class", "synth_dim", "synth_separation")
-    synthetic = None
-    if any(key in values for key in synth_keys):
-        missing = [key for key in synth_keys if key not in values]
+    fields: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {"knn": {}, "synthetic": {}}
+    for key, value in parsed.items():
+        owner, _, name = CONFIG_KEYS[key][0].rpartition(".")
+        (nested[owner] if owner else fields)[name] = value
+    if nested["synthetic"]:
+        missing = [key for key in _SYNTH_KEYS if key not in values]
         if missing:
             raise ValueError(f"synthetic dataset needs: {', '.join(missing)}")
-        synthetic = SyntheticSpec(
-            classes=_conv_int(values, "synth_classes", None),
-            per_class=_conv_int(values, "synth_per_class", None),
-            dim=_conv_int(values, "synth_dim", None),
-            separation=_conv_float(values, "synth_separation", None),
-        )
-    data_path = values.get("data") or None
-    if data_path and synthetic:
-        raise ValueError("configure either data= or synth_*, not both")
-    if not data_path and not synthetic:
-        raise ValueError("no dataset configured: set data= or the synth_* keys")
-
-    knn = KnnConfig(
-        k_min=_conv_int(values, "knn_min", 1),
-        k_max=_conv_int(values, "knn_max", 30),
-        selection=values.get("knn_selection", "best"),
-    )
-    return ExperimentConfig(
-        data_path=data_path,
-        data_format=values.get("format", "dense"),
-        labels_path=values.get("labels") or None,
-        normalize=_conv_bool(values, "normalize", False),
-        synthetic=synthetic,
-        method=values.get("method", "ddlic"),
-        layer_sizes=layer_sizes,
-        alphas=alphas,
-        l1_weight=_conv_float(values, "l1_weight", 0.1),
-        iters_per_layer=_conv_int(values, "iters", 20),
-        init=values.get("init", "qr"),
-        seed=_conv_int(values, "seed", 0),
-        train_per_class=_conv_int(values, "h", None),
-        replicates=_conv_int(values, "replicates", 10),
-        knn=knn,
-        alpha_grid=_conv_float_list(values, "alpha_grid", DEFAULT_ALPHA_GRID),
-        grid_mode=values.get("grid_mode", "shared"),
-        workers=_conv_int(values, "workers", 1),
-        out_dir=values.get("out") or None,
-    )
+        fields["synthetic"] = SyntheticSpec(**nested["synthetic"])
+    cfg = ExperimentConfig(knn=KnnConfig(**nested["knn"]), **fields)
+    _check_one_dataset(cfg)
+    return cfg
 
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
-    """Render a config as sorted ``key=value`` lines; parses back to itself."""
-    lines = [
-        f"method={cfg.method}",
-        f"format={cfg.data_format}",
-        f"normalize={'true' if cfg.normalize else 'false'}",
-        f"depth={len(cfg.layer_sizes)}",
-        "layer_sizes=" + ",".join(str(k) for k in cfg.layer_sizes),
-        "alphas=" + ",".join(_fmt(a) for a in cfg.alphas),
-        f"l1_weight={_fmt(cfg.l1_weight)}",
-        f"iters={cfg.iters_per_layer}",
-        f"init={cfg.init}",
-        f"seed={cfg.seed}",
-        f"replicates={cfg.replicates}",
-        f"knn_min={cfg.knn.k_min}",
-        f"knn_max={cfg.knn.k_max}",
-        f"knn_selection={cfg.knn.selection}",
-        "alpha_grid=" + ",".join(_fmt(a) for a in cfg.alpha_grid),
-        f"grid_mode={cfg.grid_mode}",
-        f"workers={cfg.workers}",
-    ]
-    if cfg.data_path:
-        lines.append(f"data={cfg.data_path}")
-    if cfg.labels_path:
-        lines.append(f"labels={cfg.labels_path}")
-    if cfg.synthetic:
-        lines += [
-            f"synth_classes={cfg.synthetic.classes}",
-            f"synth_per_class={cfg.synthetic.per_class}",
-            f"synth_dim={cfg.synthetic.dim}",
-            f"synth_separation={_fmt(cfg.synthetic.separation)}",
-        ]
-    if cfg.train_per_class is not None:
-        lines.append(f"h={cfg.train_per_class}")
-    if cfg.out_dir is not None:
-        lines.append(f"out={cfg.out_dir}")
+    """Render a config as sorted ``key=value`` lines; parses back to itself.
+
+    Unset optional settings (no data file, no synthetic spec, no ``h``, no
+    output directory) are left out.
+    """
+    lines = []
+    for key, (path, kind) in CONFIG_KEYS.items():
+        value = cfg
+        for name in path.split("."):
+            value = None if value is None else getattr(value, name)
+        if value is not None and value != "":
+            lines.append(f"{key}={kind.render(value)}")
     return "\n".join(sorted(lines)) + "\n"

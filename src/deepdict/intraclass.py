@@ -19,6 +19,7 @@ from .data import LabeledMatrix
 from .kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
+    check_stack_settings,
     gram_solver,
     initial_dictionary,
     ridge_code,
@@ -64,22 +65,11 @@ class DdlicConfig:
     stop_rel_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if len(self.layer_sizes) != self.depth:
-            raise ValueError("layer_sizes length must equal depth")
+        check_stack_settings(self)
         if len(self.alphas) != self.depth:
             raise ValueError("alphas length must equal depth")
-        if any(k < 1 for k in self.layer_sizes):
-            raise ValueError("layer sizes must be >= 1")
         if any(a < 0 for a in self.alphas):
             raise ValueError("alphas must be >= 0")
-        if self.iters_per_layer < 1:
-            raise ValueError("iters_per_layer must be >= 1")
-        if self.init not in ("qr", "random"):
-            raise ValueError(f"unknown init mode: {self.init!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.stop_rel_tol is not None and self.stop_rel_tol <= 0:
             raise ValueError("stop_rel_tol must be > 0 when given")
 

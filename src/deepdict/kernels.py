@@ -23,6 +23,7 @@ __all__ = [
     "qr_orthonormal_init",
     "random_dictionary_init",
     "initial_dictionary",
+    "check_stack_settings",
     "gram_spectral_norm",
     "ista_sparse_code",
     "sparse_objective",
@@ -206,6 +207,26 @@ def initial_dictionary(
     if mode == "qr" and layer == 1:
         return qr_orthonormal_init(inputs, n_atoms, seed + layer)
     return random_dictionary_init(inputs.shape[0], n_atoms, seed + layer)
+
+
+def check_stack_settings(cfg) -> None:
+    """Reject stack settings that neither trainer can run.
+
+    ``cfg`` is either trainer's config; both call this, so they validate the
+    depth, layer sizes, iterations, init mode and seed they share alike.
+    """
+    if cfg.depth < 1:
+        raise ValueError("depth must be >= 1")
+    if len(cfg.layer_sizes) != cfg.depth:
+        raise ValueError("layer_sizes length must equal depth")
+    if any(k < 1 for k in cfg.layer_sizes):
+        raise ValueError("layer sizes must be >= 1")
+    if cfg.iters_per_layer < 1:
+        raise ValueError("iters_per_layer must be >= 1")
+    if cfg.init not in ("qr", "random"):
+        raise ValueError(f"unknown init mode: {cfg.init!r}")
+    if cfg.seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ save/load round trip reproduces every float exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -37,15 +38,8 @@ def save_model(model, out_dir: str) -> None:
         cfg = model.config
         meta = {
             "kind": "ddlic",
-            "depth": cfg.depth,
-            "layer_sizes": list(cfg.layer_sizes),
             "alphas": [float(a) for a in cfg.alphas],
-            "iters_per_layer": cfg.iters_per_layer,
-            "seed": cfg.seed,
-            "init": cfg.init,
-            "ridge_epsilon_scale": cfg.ridge.epsilon_scale,
             "stop_rel_tol": cfg.stop_rel_tol,
-            "traces": [[float(v) for v in t] for t in model.traces],
         }
         for i, codes in enumerate(model.layer_reprs, start=1):
             _write_matrix(os.path.join(out_dir, f"layer_repr_{i:02d}.txt"), codes)
@@ -53,23 +47,22 @@ def save_model(model, out_dir: str) -> None:
         cfg = model.config
         meta = {
             "kind": "ddl",
-            "depth": cfg.depth,
-            "layer_sizes": list(cfg.layer_sizes),
             "l1_weight": float(cfg.l1_weight),
-            "iters_per_layer": cfg.iters_per_layer,
-            "seed": cfg.seed,
-            "init": cfg.init,
-            "ridge_epsilon_scale": cfg.ridge.epsilon_scale,
-            "ista": {
-                "max_iters": cfg.ista.max_iters,
-                "rel_tol": cfg.ista.rel_tol,
-                "step": cfg.ista.step,
-            },
-            "traces": [[float(v) for v in t] for t in model.traces],
+            "ista": dataclasses.asdict(cfg.ista),
         }
         _write_matrix(os.path.join(out_dir, "train_repr.txt"), model.train_repr)
     else:
         raise TypeError(f"cannot serialize object of type {type(model).__name__}")
+    # settings and results both models share
+    meta.update(
+        depth=cfg.depth,
+        layer_sizes=list(cfg.layer_sizes),
+        iters_per_layer=cfg.iters_per_layer,
+        seed=cfg.seed,
+        init=cfg.init,
+        ridge_epsilon_scale=cfg.ridge.epsilon_scale,
+        traces=[[float(v) for v in t] for t in model.traces],
+    )
 
     for i, dictionary in enumerate(model.dictionaries, start=1):
         _write_matrix(os.path.join(out_dir, f"dictionary_{i:02d}.txt"), dictionary)
@@ -98,19 +91,21 @@ def load_model(model_dir: str):
     if os.path.isfile(labels_path):
         labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
     traces = [np.asarray(t, dtype=float) for t in meta["traces"]]
-    ridge = RidgePolicy(epsilon_scale=float(meta["ridge_epsilon_scale"]))
+    shared = dict(
+        depth=depth,
+        layer_sizes=tuple(int(k) for k in meta["layer_sizes"]),
+        iters_per_layer=int(meta["iters_per_layer"]),
+        seed=int(meta["seed"]),
+        init=meta["init"],
+        ridge=RidgePolicy(epsilon_scale=float(meta["ridge_epsilon_scale"])),
+    )
 
     kind = meta["kind"]
     if kind == "ddlic":
         cfg = DdlicConfig(
-            depth=depth,
-            layer_sizes=tuple(int(k) for k in meta["layer_sizes"]),
             alphas=tuple(float(a) for a in meta["alphas"]),
-            iters_per_layer=int(meta["iters_per_layer"]),
-            seed=int(meta["seed"]),
-            init=meta["init"],
-            ridge=ridge,
             stop_rel_tol=meta["stop_rel_tol"],
+            **shared,
         )
         layer_reprs = [
             _read_matrix(os.path.join(model_dir, f"layer_repr_{i:02d}.txt"))
@@ -118,20 +113,10 @@ def load_model(model_dir: str):
         ]
         return DdlicModel(dictionaries, layer_reprs, cfg, traces, labels=labels)
     if kind == "ddl":
-        ista_meta = meta["ista"]
         cfg = TrainConfig(
-            depth=depth,
-            layer_sizes=tuple(int(k) for k in meta["layer_sizes"]),
             l1_weight=float(meta["l1_weight"]),
-            iters_per_layer=int(meta["iters_per_layer"]),
-            seed=int(meta["seed"]),
-            init=meta["init"],
-            ista=IstaConfig(
-                max_iters=int(ista_meta["max_iters"]),
-                rel_tol=float(ista_meta["rel_tol"]),
-                step=ista_meta["step"],
-            ),
-            ridge=ridge,
+            ista=IstaConfig(**meta["ista"]),
+            **shared,
         )
         train_repr = _read_matrix(os.path.join(model_dir, "train_repr.txt"))
         return DdlModel(dictionaries, train_repr, cfg, traces, labels=labels)

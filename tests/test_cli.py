@@ -184,3 +184,20 @@ def test_bad_config_key_fails_cleanly(tmp_path, capsys):
     rc = main(["experiment", "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_eval_bad_knn_setting_names_its_key(tmp_path, dataset, capsys):
+    model_dir = tmp_path / "model"
+    main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
+        ]
+    )
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset), "--knn-max", "abc"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "knn_max" in err

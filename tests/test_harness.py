@@ -337,3 +337,42 @@ class TestConfigFiles:
         lines = [ln for ln in text.splitlines() if ln]
         assert lines == sorted(lines)
         assert text == resolved_config_text(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(layer_sizes=(), alphas=()),
+        dict(alphas=(1e-3,)),
+        dict(method="ddl", alphas=(1e-3, -1e-3)),
+        dict(method="ddlic", l1_weight=-0.1),
+        dict(iters_per_layer=0),
+        dict(init="svd"),
+        dict(seed=-1),
+    ],
+    ids=["empty-layers", "alphas-length", "ddl-negative-alpha", "ddlic-negative-l1",
+         "zero-iters", "unknown-init", "negative-seed"],
+)
+def test_experiment_config_rejects_bad_method_settings(overrides):
+    # Each setting is checked whichever method the experiment runs.
+    with pytest.raises(ValueError):
+        small_config(**overrides)
+
+
+def test_summary_wall_seconds_is_elapsed_time_not_replicate_sum(tmp_path, monkeypatch):
+    import deepdict.harness as harness
+
+    def instant_replicates(cfg, data):
+        return [
+            harness.ReplicateResult(r, cfg.seed + r, 1.0, 1, (), 50.0, 50.0, False, "")
+            for r in (1, 2)
+        ]
+
+    monkeypatch.setattr(harness, "_run_replicates", instant_replicates)
+    out = tmp_path / "exp"
+    report = run_experiment(small_config(replicates=2, out_dir=str(out)))
+    assert report.wall_seconds < 50.0
+    lines = (out / "summary.txt").read_text().splitlines()
+    wall = [line for line in lines if line.startswith("wall_seconds:")]
+    assert wall == [f"wall_seconds: {report.wall_seconds:.3f}"]
+    assert "wall_seconds: 100.000" not in lines
