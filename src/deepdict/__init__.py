@@ -5,147 +5,23 @@ with closed-form alternating updates. Two trainers: a plain unsupervised
 stack with a sparse final layer, and a label-aware variant that pulls the
 codes of same-class samples together at every layer. Plus nearest-neighbor
 evaluation and a repeated-split experiment harness.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .baseline import (
-    DdlModel,
-    TrainConfig,
-    code_test_ddl,
-    product_dictionary,
-    train_ddl,
-    train_dense_layer,
-    train_sparse_layer,
-)
-from .classify import (
-    KnnConfig,
-    KnnReport,
-    code_layers,
-    code_test_ddlic,
-    evaluate_accuracy,
-    knn_predict,
-)
-from .data import (
-    LabeledMatrix,
-    SplitSpec,
-    load_labeled_matrix,
-    make_synthetic_clusters,
-    save_labeled_matrix,
-    split_indices,
-    split_per_class,
-    take_columns,
-)
-from .harness import (
-    DEFAULT_ALPHA_GRID,
-    ExperimentConfig,
-    ExperimentReport,
-    GridRow,
-    ReplicateResult,
-    SyntheticSpec,
-    build_experiment_config,
-    evaluate_experiment,
-    export_embeddings,
-    grid_search_alpha,
-    intra_class_scatter_ratio,
-    load_experiment_data,
-    parse_config_file,
-    per_layer_accuracy,
-    resolved_config_text,
-    run_experiment,
-)
-from .intraclass import (
-    DdlicConfig,
-    DdlicModel,
-    compactness_penalty,
-    layer_objective,
-    train_ddlic,
-    train_layer,
-    update_dictionary,
-    update_representations,
-)
-from .kernels import (
-    DEFAULT_RIDGE,
-    IstaConfig,
-    RidgePolicy,
-    gram_solver,
-    gram_spectral_norm,
-    initial_dictionary,
-    ista_sparse_code,
-    qr_orthonormal_init,
-    random_dictionary_init,
-    ridge_code,
-    solve_least_squares_dictionary,
-    sparse_objective,
-)
-from .model_io import load_model, save_model
+from . import baseline, classify, data, harness, intraclass, kernels, model_io
+from .baseline import *  # noqa: F403
+from .classify import *  # noqa: F403
+from .data import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .intraclass import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .model_io import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # data
-    "LabeledMatrix",
-    "SplitSpec",
-    "load_labeled_matrix",
-    "save_labeled_matrix",
-    "split_indices",
-    "split_per_class",
-    "take_columns",
-    "make_synthetic_clusters",
-    # kernels
-    "RidgePolicy",
-    "DEFAULT_RIDGE",
-    "IstaConfig",
-    "gram_solver",
-    "solve_least_squares_dictionary",
-    "ridge_code",
-    "qr_orthonormal_init",
-    "random_dictionary_init",
-    "initial_dictionary",
-    "gram_spectral_norm",
-    "ista_sparse_code",
-    "sparse_objective",
-    # plain stack
-    "TrainConfig",
-    "DdlModel",
-    "train_dense_layer",
-    "train_sparse_layer",
-    "train_ddl",
-    "product_dictionary",
-    "code_test_ddl",
-    # label-aware stack
-    "DdlicConfig",
-    "DdlicModel",
-    "compactness_penalty",
-    "layer_objective",
-    "update_dictionary",
-    "update_representations",
-    "train_layer",
-    "train_ddlic",
-    # classification
-    "KnnConfig",
-    "KnnReport",
-    "code_layers",
-    "code_test_ddlic",
-    "knn_predict",
-    "evaluate_accuracy",
-    # experiments
-    "DEFAULT_ALPHA_GRID",
-    "SyntheticSpec",
-    "ExperimentConfig",
-    "ReplicateResult",
-    "ExperimentReport",
-    "GridRow",
-    "load_experiment_data",
-    "evaluate_experiment",
-    "run_experiment",
-    "grid_search_alpha",
-    "intra_class_scatter_ratio",
-    "export_embeddings",
-    "per_layer_accuracy",
-    "parse_config_file",
-    "build_experiment_config",
-    "resolved_config_text",
-    # model persistence
-    "save_model",
-    "load_model",
+__all__ = ["__version__"] + [
+    name
+    for module in (data, kernels, baseline, intraclass, classify, harness, model_io)
+    for name in module.__all__
 ]

@@ -4,12 +4,14 @@ Each layer factorizes the previous layer's codes under the identity
 activation. Inner layers alternate a closed-form dictionary solve with
 dense least-squares coding; the final layer replaces the coding step with
 L1-penalized soft-thresholding. Layers are trained greedily in order and
-never revisited.
+never revisited. The alternating loop (``alternate_layer``) and the greedy
+loop (``train_stack``) defined here train the label-aware stack too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .kernels import (
     IstaConfig,
     RidgePolicy,
     check_stack_settings,
+    check_trained_stack,
     initial_dictionary,
     ista_sparse_code,
     ridge_code,
@@ -28,8 +31,10 @@ from .kernels import (
 __all__ = [
     "TrainConfig",
     "DdlModel",
+    "alternate_layer",
     "train_dense_layer",
     "train_sparse_layer",
+    "train_stack",
     "train_ddl",
     "product_dictionary",
     "code_test_ddl",
@@ -73,16 +78,8 @@ class DdlModel:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        sizes = self.config.layer_sizes
-        if len(self.dictionaries) != len(sizes):
-            raise ValueError("one dictionary per layer is required")
-        for layer, (d, k) in enumerate(zip(self.dictionaries, sizes), start=1):
-            if d.shape[1] != k:
-                raise ValueError(f"layer {layer} dictionary has {d.shape[1]} atoms, expected {k}")
-            if layer > 1 and d.shape[0] != sizes[layer - 2]:
-                raise ValueError(f"layer {layer} dictionary rows do not chain")
-        if self.train_repr.shape[0] != sizes[-1]:
-            raise ValueError("train_repr row count must equal the final layer size")
+        codes = [None] * (len(self.dictionaries) - 1) + [self.train_repr]
+        check_trained_stack(self.config, self.dictionaries, codes, self.traces, self.labels)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -93,18 +90,25 @@ class DdlModel:
         return self.config.l1_weight
 
 
-def train_dense_layer(
+def alternate_layer(
     inputs: np.ndarray,
     init_dict: np.ndarray,
     n_iters: int,
+    code_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    objective: Callable[[np.ndarray, np.ndarray], float],
     policy: RidgePolicy = DEFAULT_RIDGE,
+    stop_rel_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dense layer: alternate exact dictionary and code updates.
+    """The alternating loop every layer of either stack trains with.
 
-    Codes start as the least-squares codes against ``init_dict``; each
-    iteration refreshes the dictionary and then the codes, both in closed
-    form, so the recorded reconstruction-error trace is non-increasing.
-    Returns (dictionary, codes, trace).
+    Codes start as the least-squares codes against ``init_dict``. One
+    iteration refreshes the dictionary exactly for the current codes, then
+    replaces the codes by ``code_step(dictionary, codes)`` and records
+    ``objective(dictionary, codes)``; when both steps minimize that
+    objective, the trace is non-increasing. ``stop_rel_tol`` optionally ends
+    the loop once the relative change of the objective falls below it (the
+    trace is then shorter than ``n_iters``). Returns (dictionary, codes,
+    trace).
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
@@ -112,13 +116,39 @@ def train_dense_layer(
         raise ValueError("n_iters must be >= 1")
     codes = ridge_code(init_dict, inputs, policy)
     dictionary = init_dict
-    trace = np.empty(n_iters)
+    values: list[float] = []
     for it in range(n_iters):
         dictionary = solve_least_squares_dictionary(inputs, codes, policy)
-        codes = ridge_code(dictionary, inputs, policy)
+        codes = code_step(dictionary, codes)
+        values.append(objective(dictionary, codes))
+        if stop_rel_tol is not None and it > 0:
+            prev, last = values[-2], values[-1]
+            if abs(prev - last) <= stop_rel_tol * max(1.0, abs(prev)):
+                break
+    return dictionary, codes, np.asarray(values)
+
+
+def train_dense_layer(
+    inputs: np.ndarray,
+    init_dict: np.ndarray,
+    n_iters: int,
+    policy: RidgePolicy = DEFAULT_RIDGE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One dense layer: alternate exact dictionary and least-squares code updates.
+
+    The recorded reconstruction-error trace is non-increasing. Returns
+    (dictionary, codes, trace).
+    """
+
+    def squared_error(dictionary, codes):
         resid = inputs - dictionary @ codes
-        trace[it] = float(np.sum(resid * resid))
-    return dictionary, codes, trace
+        return float(np.sum(resid * resid))
+
+    return alternate_layer(
+        inputs, init_dict, n_iters,
+        lambda dictionary, codes: ridge_code(dictionary, inputs, policy),
+        squared_error, policy,
+    )
 
 
 def train_sparse_layer(
@@ -135,42 +165,50 @@ def train_sparse_layer(
     penalized-objective trace is non-increasing. Returns
     (dictionary, codes, trace).
     """
-    if init_dict.shape[0] != inputs.shape[0]:
-        raise ValueError("init_dict rows must match the input dimension")
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    codes = ridge_code(init_dict, inputs, policy)
-    dictionary = init_dict
-    trace = np.empty(n_iters)
-    for it in range(n_iters):
-        dictionary = solve_least_squares_dictionary(inputs, codes, policy)
-        codes = ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
-        trace[it] = sparse_objective(dictionary, inputs, codes, l1_weight)
-    return dictionary, codes, trace
+    return alternate_layer(
+        inputs, init_dict, n_iters,
+        lambda dictionary, codes: ista_sparse_code(
+            dictionary, inputs, l1_weight, ista_cfg, warm_start=codes
+        ),
+        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, l1_weight),
+        policy,
+    )
+
+
+def train_stack(features: np.ndarray, cfg, train_one: Callable) -> tuple[list, list, list]:
+    """The greedy layer-wise loop both stacks train with.
+
+    Layer ``l`` (from 1) starts from ``initial_dictionary`` on the previous
+    layer's codes (the features for layer 1) and is trained by
+    ``train_one(l, inputs, init_dict)``, which returns (dictionary, codes,
+    trace). Layers are never revisited. Returns the per-layer dictionaries,
+    codes and traces.
+    """
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
+        raise ValueError("features must be a non-empty 2-D matrix")
+    current = features
+    dictionaries, layer_codes, traces = [], [], []
+    for layer, n_atoms in enumerate(cfg.layer_sizes, start=1):
+        init = initial_dictionary(current, n_atoms, layer, cfg.init, cfg.seed)
+        dictionary, current, trace = train_one(layer, current, init)
+        dictionaries.append(dictionary)
+        layer_codes.append(current)
+        traces.append(trace)
+    return dictionaries, layer_codes, traces
 
 
 def train_ddl(features: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DdlModel:
     """Train the full stack greedily on a feature matrix (samples as columns)."""
-    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-        raise ValueError("features must be a non-empty 2-D matrix")
-    current = features
-    dictionaries: list[np.ndarray] = []
-    traces: list[np.ndarray] = []
-    codes = current
-    for layer, n_atoms in enumerate(cfg.layer_sizes, start=1):
-        init = initial_dictionary(current, n_atoms, layer, cfg.init, cfg.seed)
+
+    def train_one(layer, inputs, init):
         if layer < cfg.depth:
-            dictionary, codes, trace = train_dense_layer(
-                current, init, cfg.iters_per_layer, cfg.ridge
-            )
-        else:
-            dictionary, codes, trace = train_sparse_layer(
-                current, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge
-            )
-        dictionaries.append(dictionary)
-        traces.append(trace)
-        current = codes
-    return DdlModel(dictionaries, codes, cfg, traces)
+            return train_dense_layer(inputs, init, cfg.iters_per_layer, cfg.ridge)
+        return train_sparse_layer(
+            inputs, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge
+        )
+
+    dictionaries, layer_codes, traces = train_stack(features, cfg, train_one)
+    return DdlModel(dictionaries, layer_codes[-1], cfg, traces)
 
 
 def product_dictionary(dictionaries: list[np.ndarray]) -> np.ndarray:

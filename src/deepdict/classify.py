@@ -197,6 +197,8 @@ def evaluate_accuracy(
     n_train = train_codes.shape[1]
     labels = np.asarray(train_labels)
     targets = np.asarray(test_labels)
+    if labels.shape != (n_train,):
+        raise ValueError("train_labels must have one entry per training column")
     if targets.shape != (test_codes.shape[1],):
         raise ValueError("test_labels must have one entry per test column")
     ks = [k for k in range(cfg.k_min, cfg.k_max + 1) if k <= n_train]

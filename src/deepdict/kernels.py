@@ -7,6 +7,7 @@ read-only matrices. Samples are columns throughout.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,7 @@ __all__ = [
     "random_dictionary_init",
     "initial_dictionary",
     "check_stack_settings",
+    "check_trained_stack",
     "gram_spectral_norm",
     "ista_sparse_code",
     "sparse_objective",
@@ -229,6 +231,32 @@ def check_stack_settings(cfg) -> None:
         raise ValueError("seed must be non-negative")
 
 
+def check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
+    """Reject a trained stack whose parts do not fit its settings or each other.
+
+    ``codes`` holds each layer's training codes, ``None`` for a layer whose
+    codes the model does not keep. ``labels`` (optional) holds one entry per
+    training column. Both models call this, so a model directory with
+    missing or extra parts fails at load time, not in a later evaluation.
+    """
+    sizes = cfg.layer_sizes
+    if not len(dictionaries) == len(codes) == len(traces) == len(sizes):
+        raise ValueError(
+            f"expected one dictionary, code matrix and trace per layer ({len(sizes)}), got "
+            f"{len(dictionaries)}, {len(codes)} and {len(traces)}"
+        )
+    n_train = [z for z in codes if z is not None][-1].shape[1]
+    for layer, (d, z, k) in enumerate(zip(dictionaries, codes, sizes), start=1):
+        if d.shape[1] != k or (z is not None and z.shape[0] != k):
+            raise ValueError(f"layer {layer} shapes do not match its size {k}")
+        if layer > 1 and d.shape[0] != sizes[layer - 2]:
+            raise ValueError(f"layer {layer} dictionary rows do not chain")
+        if z is not None and z.shape[1] != n_train:
+            raise ValueError(f"layer {layer} codes have {z.shape[1]} columns, expected {n_train}")
+    if labels is not None and np.shape(labels) != (n_train,):
+        raise ValueError(f"{np.size(labels)} training labels for {n_train} training columns")
+
+
 @dataclass(frozen=True)
 class IstaConfig:
     """Iterative soft-thresholding settings.
@@ -297,9 +325,11 @@ def ista_sparse_code(
 
     Solves ``min_Z ||inputs - dictionary @ Z||_F^2 + l1_weight * ||Z||_1``
     by proximal gradient (soft-thresholding) steps. With the auto-derived
-    step the objective is non-increasing across iterations. When
-    ``return_trace`` is true, also returns the objective value at the start
-    and after every iteration.
+    step the objective is non-increasing across iterations. Stopping at
+    ``cfg.max_iters`` before ``cfg.rel_tol`` is met issues a
+    ``RuntimeWarning`` (one fixed message, so Python's default filter shows
+    it once per calling line). When ``return_trace`` is true, also returns
+    the objective value at the start and after every iteration.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
@@ -346,6 +376,10 @@ def ista_sparse_code(
             trace.append(sparse_objective(dictionary, inputs, codes, l1_weight))
         if delta <= cfg.rel_tol * reference:
             break
+    else:
+        warnings.warn(
+            "ISTA stopped at max_iters before meeting rel_tol", RuntimeWarning, stacklevel=2
+        )
     if return_trace:
         return codes, np.asarray(trace)
     return codes

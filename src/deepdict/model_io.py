@@ -81,7 +81,12 @@ def load_model(model_dir: str):
     with open(meta_path) as fh:
         meta = json.load(fh)
 
-    depth = int(meta["depth"])
+    def field(key: str):
+        if key not in meta:
+            raise ValueError(f"{model_dir}: metadata.json has no key {key!r}")
+        return meta[key]
+
+    depth = int(field("depth"))
     dictionaries = [
         _read_matrix(os.path.join(model_dir, f"dictionary_{i:02d}.txt"))
         for i in range(1, depth + 1)
@@ -90,21 +95,21 @@ def load_model(model_dir: str):
     labels = None
     if os.path.isfile(labels_path):
         labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
-    traces = [np.asarray(t, dtype=float) for t in meta["traces"]]
+    traces = [np.asarray(t, dtype=float) for t in field("traces")]
     shared = dict(
         depth=depth,
-        layer_sizes=tuple(int(k) for k in meta["layer_sizes"]),
-        iters_per_layer=int(meta["iters_per_layer"]),
-        seed=int(meta["seed"]),
-        init=meta["init"],
-        ridge=RidgePolicy(epsilon_scale=float(meta["ridge_epsilon_scale"])),
+        layer_sizes=tuple(int(k) for k in field("layer_sizes")),
+        iters_per_layer=int(field("iters_per_layer")),
+        seed=int(field("seed")),
+        init=field("init"),
+        ridge=RidgePolicy(epsilon_scale=float(field("ridge_epsilon_scale"))),
     )
 
-    kind = meta["kind"]
+    kind = field("kind")
     if kind == "ddlic":
         cfg = DdlicConfig(
-            alphas=tuple(float(a) for a in meta["alphas"]),
-            stop_rel_tol=meta["stop_rel_tol"],
+            alphas=tuple(float(a) for a in field("alphas")),
+            stop_rel_tol=field("stop_rel_tol"),
             **shared,
         )
         layer_reprs = [
@@ -114,8 +119,8 @@ def load_model(model_dir: str):
         return DdlicModel(dictionaries, layer_reprs, cfg, traces, labels=labels)
     if kind == "ddl":
         cfg = TrainConfig(
-            l1_weight=float(meta["l1_weight"]),
-            ista=IstaConfig(**meta["ista"]),
+            l1_weight=float(field("l1_weight")),
+            ista=IstaConfig(**field("ista")),
             **shared,
         )
         train_repr = _read_matrix(os.path.join(model_dir, "train_repr.txt"))

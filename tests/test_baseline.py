@@ -12,9 +12,63 @@ from deepdict.baseline import (
     train_dense_layer,
     train_sparse_layer,
 )
-from deepdict.kernels import IstaConfig, random_dictionary_init
+from deepdict.kernels import (
+    DEFAULT_RIDGE,
+    IstaConfig,
+    initial_dictionary,
+    ista_sparse_code,
+    random_dictionary_init,
+    ridge_code,
+    solve_least_squares_dictionary,
+    sparse_objective,
+)
 
 RNG = np.random.default_rng
+
+
+def _reference_dense_layer(inputs, init_dict, n_iters, policy=DEFAULT_RIDGE):
+    """Reference: the dense layer's own alternating loop."""
+    codes = ridge_code(init_dict, inputs, policy)
+    dictionary = init_dict
+    trace = np.empty(n_iters)
+    for it in range(n_iters):
+        dictionary = solve_least_squares_dictionary(inputs, codes, policy)
+        codes = ridge_code(dictionary, inputs, policy)
+        resid = inputs - dictionary @ codes
+        trace[it] = float(np.sum(resid * resid))
+    return dictionary, codes, trace
+
+
+def _reference_sparse_layer(inputs, init_dict, n_iters, l1_weight, ista_cfg, policy=DEFAULT_RIDGE):
+    """Reference: the sparse layer's own alternating loop, ISTA warm-started."""
+    codes = ridge_code(init_dict, inputs, policy)
+    dictionary = init_dict
+    trace = np.empty(n_iters)
+    for it in range(n_iters):
+        dictionary = solve_least_squares_dictionary(inputs, codes, policy)
+        codes = ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
+        trace[it] = sparse_objective(dictionary, inputs, codes, l1_weight)
+    return dictionary, codes, trace
+
+
+def _reference_ddl(features, cfg):
+    """Reference: the greedy stack as its own loop over the reference layers."""
+    current, dictionaries, traces = features, [], []
+    for layer, n_atoms in enumerate(cfg.layer_sizes, start=1):
+        init = initial_dictionary(current, n_atoms, layer, cfg.init, cfg.seed)
+        if layer < cfg.depth:
+            d, current, t = _reference_dense_layer(current, init, cfg.iters_per_layer, cfg.ridge)
+        else:
+            d, current, t = _reference_sparse_layer(
+                current, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge
+            )
+        dictionaries.append(d)
+        traces.append(t)
+    return dictionaries, current, traces
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _instance(seed, d=10, k=6, n=40):
@@ -60,6 +114,34 @@ class TestSparseLayer:
         _, z_big, _ = train_sparse_layer(inputs, init, 10, l1_weight=2.0)
         assert np.sum(np.abs(z_big)) < np.sum(np.abs(z_small))
         assert np.mean(z_big == 0.0) > np.mean(z_small == 0.0)
+
+
+class TestSharedLoop:
+    """The shared alternating and stacking loops reproduce each trainer's own loop bit for bit."""
+
+    def test_dense_layer_matches_reference(self):
+        for seed in range(6):
+            inputs, init = _instance(seed)
+            got = train_dense_layer(inputs, init, 12)
+            assert _same(got, _reference_dense_layer(inputs, init, 12))
+
+    def test_sparse_layer_matches_reference(self):
+        cfg = IstaConfig(max_iters=80)
+        for seed in range(6):
+            inputs, init = _instance(seed, d=8, k=5, n=25)
+            got = train_sparse_layer(inputs, init, 10, 0.2, cfg)
+            assert _same(got, _reference_sparse_layer(inputs, init, 10, 0.2, cfg))
+
+    @pytest.mark.parametrize("init", ["qr", "random"])
+    def test_stack_matches_reference(self, init):
+        feats = RNG(20).normal(size=(12, 30))
+        cfg = TrainConfig(depth=3, layer_sizes=(9, 6, 4), iters_per_layer=5, seed=3,
+                          init=init, ista=IstaConfig(max_iters=60))
+        model = train_ddl(feats, cfg)
+        dictionaries, codes, traces = _reference_ddl(feats, cfg)
+        assert _same(model.dictionaries, dictionaries)
+        assert np.array_equal(model.train_repr, codes)
+        assert _same(model.traces, traces)
 
 
 class TestFullStack:

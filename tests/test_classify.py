@@ -119,6 +119,17 @@ class TestEvaluateAccuracy:
                 np.zeros((2, 4)), np.zeros(4, np.int64), np.zeros((2, 0)), np.zeros(0, np.int64)
             )
 
+    @pytest.mark.parametrize("n_labels", [7, 13])
+    def test_train_label_count_must_match_training_columns(self, n_labels):
+        rng = RNG(4)
+        with pytest.raises(ValueError, match="one entry per training column"):
+            evaluate_accuracy(
+                rng.normal(size=(2, 10)),
+                np.arange(n_labels) % 2,
+                rng.normal(size=(2, 4)),
+                np.zeros(4, np.int64),
+            )
+
     def test_tiny_training_set_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             evaluate_accuracy(

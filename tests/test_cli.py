@@ -1,5 +1,7 @@
 """End-to-end command-line flows in temp directories."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,24 @@ def test_eval_bad_knn_setting_names_its_key(tmp_path, dataset, capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "knn_max" in err
+
+
+def test_eval_model_missing_metadata_key_names_it(tmp_path, dataset, capsys):
+    model_dir = tmp_path / "model"
+    main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
+        ]
+    )
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["traces"]
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "'traces'" in err and "metadata.json" in err and str(model_dir) in err

@@ -22,6 +22,7 @@ from deepdict.kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
     gram_solver,
+    initial_dictionary,
     random_dictionary_init,
     ridge_code,
 )
@@ -61,6 +62,21 @@ def _sequential_sweep(dictionary, inputs, codes, alpha, class_index, policy=DEFA
             class_sum += new - old
             out[:, col] = new
     return out
+
+
+def _reference_train_layer(inputs, alpha, n_iters, class_index, init_dict, stop_rel_tol=None):
+    """Reference: the layer's own alternating loop with its early stop."""
+    codes = ridge_code(init_dict, inputs)
+    dictionary = init_dict
+    values = []
+    for it in range(n_iters):
+        dictionary = update_dictionary(inputs, codes)
+        codes = update_representations(dictionary, inputs, codes, alpha, class_index)
+        values.append(layer_objective(inputs, dictionary, codes, alpha, class_index))
+        if stop_rel_tol is not None and it > 0:
+            if abs(values[-2] - values[-1]) <= stop_rel_tol * max(1.0, abs(values[-2])):
+                break
+    return dictionary, codes, np.asarray(values)
 
 
 def _relative_error(got, want):
@@ -288,6 +304,21 @@ class TestLayerTraining:
         )
         assert len(short) < len(full)
 
+    @pytest.mark.parametrize("stop_rel_tol", [None, 1e-2, 1e-1])  # 1e-2, 1e-1 stop early
+    def test_matches_reference_loop(self, stop_rel_tol):
+        for seed in range(4):
+            rng = RNG(200 + seed)
+            counts = (4, 1, 5, 3)
+            inputs = rng.normal(size=(8, sum(counts)))
+            init = random_dictionary_init(8, 5, seed=seed)
+            args = (inputs, 0.05, 5, 30, _class_index(counts), init)
+            got = train_layer(*args, stop_rel_tol=stop_rel_tol)
+            want = _reference_train_layer(
+                inputs, 0.05, 30, _class_index(counts), init, stop_rel_tol
+            )
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
     def test_init_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="init_dict"):
             train_layer(
@@ -307,6 +338,22 @@ class TestFullStack:
         assert model.train_repr.shape == (4, 18)
         assert model.labels.tolist() == data.original_labels.tolist()
         assert [len(t) for t in model.traces] == [4, 4, 4]
+
+    @pytest.mark.parametrize("stop_rel_tol", [None, 1e-2])  # 1e-2 stops layers 1 and 3 early
+    def test_stack_matches_reference_loop(self, stop_rel_tol):
+        data = make_synthetic_clusters(3, 6, 10, 4.0, seed=4)
+        cfg = DdlicConfig(depth=3, layer_sizes=(8, 6, 4), alphas=(0.0, 0.01, 0.1),
+                          iters_per_layer=15, seed=2, stop_rel_tol=stop_rel_tol)
+        model = train_ddlic(data, cfg)
+        current = data.features
+        for layer, (n_atoms, alpha) in enumerate(zip(cfg.layer_sizes, cfg.alphas), start=1):
+            init = initial_dictionary(current, n_atoms, layer, cfg.init, cfg.seed)
+            d, current, trace = _reference_train_layer(
+                current, alpha, cfg.iters_per_layer, data.class_index, init, stop_rel_tol
+            )
+            assert np.array_equal(model.dictionaries[layer - 1], d)
+            assert np.array_equal(model.layer_reprs[layer - 1], current)
+            assert np.array_equal(model.traces[layer - 1], trace)
 
     def test_deterministic_per_seed(self):
         data = make_synthetic_clusters(2, 5, 8, 4.0, seed=2)

@@ -1,5 +1,7 @@
 """Gram solves, dictionary initialization, and the sparse coding loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -243,6 +245,24 @@ class TestSparseCoding:
             d, x, lam, IstaConfig(max_iters=9000, rel_tol=1e-13, step=0.01)
         )
         assert np.max(np.abs(auto - slow)) < 1e-4
+
+    def test_stopping_at_max_iters_warns(self):
+        rng = RNG(15)
+        d = rng.normal(size=(8, 12))
+        x = rng.normal(size=(8, 6))
+        with pytest.warns(RuntimeWarning, match="max_iters"):
+            ista_sparse_code(d, x, 0.1, IstaConfig(max_iters=3, rel_tol=1e-12))
+
+    def test_convergence_before_max_iters_is_silent(self):
+        rng = RNG(15)
+        d = rng.normal(size=(8, 12))
+        x = rng.normal(size=(8, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = ista_sparse_code(
+                d, x, 0.1, IstaConfig(max_iters=5000, rel_tol=1e-4), return_trace=True
+            )
+        assert len(trace) - 1 < 5000
 
     def test_zero_dictionary_rejected(self):
         with pytest.raises(ValueError, match="spectral norm"):

@@ -1,5 +1,7 @@
 """Model directory save/load round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,39 @@ def test_missing_directory_rejected(tmp_path):
 def test_foreign_object_rejected(tmp_path):
     with pytest.raises(TypeError, match="cannot serialize"):
         save_model(object(), str(tmp_path / "m"))
+
+
+def _saved_ddlic(tmp_path):
+    data = make_synthetic_clusters(3, 5, 8, 4.0, seed=1)
+    cfg = DdlicConfig(depth=2, layer_sizes=(6, 4), alphas=(0.01, 0.02), iters_per_layer=3)
+    model_dir = tmp_path / "m"
+    save_model(train_ddlic(data, cfg), str(model_dir))
+    return model_dir
+
+
+def test_fewer_traces_than_layers_rejected(tmp_path):
+    model_dir = _saved_ddlic(tmp_path)
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["traces"] = meta["traces"][:1]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="trace per layer"):
+        load_model(str(model_dir))
+
+
+@pytest.mark.parametrize("n_labels", [14, 16])
+def test_label_count_other_than_training_columns_rejected(tmp_path, n_labels):
+    model_dir = _saved_ddlic(tmp_path)
+    np.savetxt(model_dir / "train_labels.txt", np.arange(n_labels) % 3, fmt="%d")
+    with pytest.raises(ValueError, match="training labels for 15 training columns"):
+        load_model(str(model_dir))
+
+
+def test_missing_metadata_key_named(tmp_path):
+    model_dir = _saved_ddlic(tmp_path)
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["alphas"]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="metadata.json has no key 'alphas'"):
+        load_model(str(model_dir))
