@@ -113,21 +113,39 @@ def _pairwise_euclidean(train_codes: np.ndarray, test_codes: np.ndarray) -> np.n
     return np.sqrt(d2)
 
 
-def _vote(train_labels: np.ndarray, dist_col: np.ndarray, neighbor_idx: np.ndarray) -> int:
-    votes = train_labels[neighbor_idx]
-    best_label = None
-    best_count = -1
-    best_sum = np.inf
-    # candidate labels ascending, so equal (count, sum) keeps the smaller label
-    for label in np.unique(votes):
-        members = neighbor_idx[votes == label]
-        count = members.size
-        dist_sum = float(dist_col[members].sum())
-        if count > best_count or (count == best_count and dist_sum < best_sum):
-            best_label = label
-            best_count = count
-            best_sum = dist_sum
-    return int(best_label)
+def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndarray) -> np.ndarray:
+    """Reject codes and labels the vote cannot use; return the labels as an array."""
+    if train_codes.shape[0] != test_codes.shape[0]:
+        raise ValueError("train and test codes must have the same dimension")
+    labels = np.asarray(train_labels)
+    if labels.shape != (train_codes.shape[1],):
+        raise ValueError("train_labels must have one entry per training column")
+    if not (np.isfinite(train_codes).all() and np.isfinite(test_codes).all()):
+        raise ValueError("train and test codes must be finite")
+    return labels
+
+
+def _sweep_votes(dist: np.ndarray, train_labels: np.ndarray, ks: list[int]) -> np.ndarray:
+    """Winning label of every column's k nearest rows of ``dist``, one row per k in ``ks``.
+
+    Each label's votes and distance sum accumulate rank by rank, nearest
+    neighbor first; the winner has the most votes, then the smaller sum,
+    then the smaller label.
+    """
+    order = np.argsort(dist, axis=0, kind="stable")
+    classes, class_ids = np.unique(train_labels, return_inverse=True)
+    cols = np.arange(dist.shape[1])
+    counts = np.zeros((dist.shape[1], classes.size), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    winners = np.empty((len(ks), dist.shape[1]), dtype=np.int64)
+    for rank, nearest in enumerate(order[: max(ks)], start=1):
+        counts[cols, class_ids[nearest]] += 1
+        sums[cols, class_ids[nearest]] += dist[nearest, cols]
+        if rank in ks:
+            # classes ascend, so argmin's first minimum is the smaller label
+            top = counts == counts.max(axis=1, keepdims=True)
+            winners[ks.index(rank)] = classes[np.argmin(np.where(top, sums, np.inf), axis=1)]
+    return winners
 
 
 def knn_predict(
@@ -142,29 +160,8 @@ def knn_predict(
         raise ValueError("k must be >= 1")
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training samples")
-    if train_codes.shape[0] != test_codes.shape[0]:
-        raise ValueError("train and test codes must have the same dimension")
-    if np.asarray(train_labels).shape != (n_train,):
-        raise ValueError("train_labels must have one entry per training column")
-    dist = _pairwise_euclidean(train_codes, test_codes)
-    order = np.argsort(dist, axis=0, kind="stable")
-    return _votes(np.asarray(train_labels), dist, order, k)
-
-
-def _votes(train_labels: np.ndarray, dist: np.ndarray, order: np.ndarray, k: int) -> np.ndarray:
-    """The vote of each column's k nearest rows of ``dist`` (``order`` sorts them)."""
-    return np.array(
-        [_vote(train_labels, dist[:, j], order[:k, j]) for j in range(dist.shape[1])],
-        dtype=np.int64,
-    )
-
-
-def _accuracy_sweep(
-    dist: np.ndarray, train_labels: np.ndarray, targets: np.ndarray, ks: list[int]
-) -> np.ndarray:
-    """Accuracy at every k of the vote among each column's k nearest rows of ``dist``."""
-    order = np.argsort(dist, axis=0, kind="stable")
-    return np.array([np.mean(_votes(train_labels, dist, order, k) == targets) for k in ks])
+    labels = _check_knn_inputs(train_codes, train_labels, test_codes)
+    return _sweep_votes(_pairwise_euclidean(train_codes, test_codes), labels, [k])[0]
 
 
 def _loocv_neighbor_choice(
@@ -176,7 +173,7 @@ def _loocv_neighbor_choice(
         return ks[0]
     dist = _pairwise_euclidean(train_codes, train_codes)
     np.fill_diagonal(dist, np.inf)
-    accuracies = _accuracy_sweep(dist, train_labels, train_labels, valid)
+    accuracies = np.mean(_sweep_votes(dist, train_labels, valid) == train_labels, axis=1)
     return valid[int(np.argmax(accuracies))]  # first max: smallest such k
 
 
@@ -195,10 +192,8 @@ def evaluate_accuracy(
     if test_codes.shape[1] == 0:
         raise ValueError("empty test set")
     n_train = train_codes.shape[1]
-    labels = np.asarray(train_labels)
+    labels = _check_knn_inputs(train_codes, train_labels, test_codes)
     targets = np.asarray(test_labels)
-    if labels.shape != (n_train,):
-        raise ValueError("train_labels must have one entry per training column")
     if targets.shape != (test_codes.shape[1],):
         raise ValueError("test_labels must have one entry per test column")
     ks = [k for k in range(cfg.k_min, cfg.k_max + 1) if k <= n_train]
@@ -206,7 +201,7 @@ def evaluate_accuracy(
         raise ValueError("no valid neighbor size: training set is too small")
 
     dist = _pairwise_euclidean(train_codes, test_codes)
-    accuracies = _accuracy_sweep(dist, labels, targets, ks)
+    accuracies = np.mean(_sweep_votes(dist, labels, ks) == targets, axis=1)
     best_pos = int(np.argmax(accuracies))  # first max: smallest such k
     best_k = ks[best_pos]
     best_accuracy = float(accuracies[best_pos])

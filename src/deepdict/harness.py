@@ -203,8 +203,7 @@ def fit_model(cfg: ExperimentConfig, train: LabeledMatrix, seed: int):
     if cfg.method == "ddlic":
         return train_ddlic(train, _ddlic_config(cfg, seed))
     model = train_ddl(train.features, _ddl_config(cfg, seed))
-    model.labels = np.asarray(train.original_labels)
-    return model
+    return replace(model, labels=np.asarray(train.original_labels))
 
 
 def code_test(model, features: np.ndarray) -> np.ndarray:

@@ -236,8 +236,8 @@ def check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
 
     ``codes`` holds each layer's training codes, ``None`` for a layer whose
     codes the model does not keep. ``labels`` (optional) holds one entry per
-    training column. Both models call this, so a model directory with
-    missing or extra parts fails at load time, not in a later evaluation.
+    training column. Both models call this, so a model directory with missing,
+    extra or non-finite parts fails at load time, not in a later evaluation.
     """
     sizes = cfg.layer_sizes
     if not len(dictionaries) == len(codes) == len(traces) == len(sizes):
@@ -255,6 +255,8 @@ def check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
             raise ValueError(f"layer {layer} codes have {z.shape[1]} columns, expected {n_train}")
     if labels is not None and np.shape(labels) != (n_train,):
         raise ValueError(f"{np.size(labels)} training labels for {n_train} training columns")
+    if not all(np.isfinite(m).all() for m in [*dictionaries, *codes] if m is not None):
+        raise ValueError("dictionaries and training codes must be finite")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,9 @@ def _read_matrix(path: str) -> np.ndarray:
 
 def save_model(model, out_dir: str) -> None:
     """Serialize a trained model into a directory (created if missing)."""
+    if not isinstance(model, (DdlicModel, DdlModel)):
+        raise TypeError(f"cannot serialize object of type {type(model).__name__}")
+    dataclasses.replace(model)  # re-runs the model's check before any file is written
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(model, DdlicModel):
         cfg = model.config
@@ -43,7 +46,7 @@ def save_model(model, out_dir: str) -> None:
         }
         for i, codes in enumerate(model.layer_reprs, start=1):
             _write_matrix(os.path.join(out_dir, f"layer_repr_{i:02d}.txt"), codes)
-    elif isinstance(model, DdlModel):
+    else:
         cfg = model.config
         meta = {
             "kind": "ddl",
@@ -51,8 +54,6 @@ def save_model(model, out_dir: str) -> None:
             "ista": dataclasses.asdict(cfg.ista),
         }
         _write_matrix(os.path.join(out_dir, "train_repr.txt"), model.train_repr)
-    else:
-        raise TypeError(f"cannot serialize object of type {type(model).__name__}")
     # settings and results both models share
     meta.update(
         depth=cfg.depth,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepdict.classify import (
     KnnConfig,
@@ -78,6 +80,18 @@ class TestKnnPredict:
         test = np.array([[0.0]])
         assert knn_predict(train, labels, test, 2)[0] == 3
 
+    def test_distance_sums_add_nearest_first(self):
+        # counts tie 8-8 at k=16, and added nearest first both labels'
+        # distances sum to 2**53 + 8, so the smaller label wins. Summed
+        # pairwise, label 1's [1]*7 + [2**53] would give 2**53 + 6 instead.
+        train = np.array([[1.0] * 7 + [2.0**53] + [-1.0] * 6 + [-2.0, -(2.0**53)]])
+        labels = np.array([1] * 8 + [0] * 8)
+        test = np.zeros((1, 1))
+        assert oracle_predict(train, labels, test, 16).tolist() == [0]
+        assert knn_predict(train, labels, test, 16).tolist() == [0]
+        rep = evaluate_accuracy(train, labels, test, np.array([0]), KnnConfig(16, 16))
+        assert rep.accuracies.tolist() == [1.0]
+
     def test_k_larger_than_training_set_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             knn_predict(np.zeros((2, 3)), np.zeros(3, np.int64), np.zeros((2, 1)), 4)
@@ -130,6 +144,32 @@ class TestEvaluateAccuracy:
                 np.zeros(4, np.int64),
             )
 
+    @pytest.mark.parametrize("entry", ["knn_predict", "evaluate_accuracy"])
+    @pytest.mark.parametrize(
+        "train_rows, n_labels, bad_code, message",
+        [
+            (3, 10, None, "same dimension"),
+            (2, 9, None, "one entry per training column"),
+            (2, 10, ("train", np.nan), "must be finite"),
+            (2, 10, ("test", np.inf), "must be finite"),
+        ],
+        ids=["dimension", "label-count", "nan-train-code", "inf-test-code"],
+    )
+    def test_both_entry_points_reject_unusable_inputs(
+        self, entry, train_rows, n_labels, bad_code, message
+    ):
+        rng = RNG(5)
+        codes = {"train": rng.normal(size=(train_rows, 10)), "test": rng.normal(size=(2, 4))}
+        if bad_code is not None:
+            which, value = bad_code
+            codes[which][0, 1] = value
+        labels = np.arange(n_labels) % 2
+        with pytest.raises(ValueError, match=message):
+            if entry == "knn_predict":
+                knn_predict(codes["train"], labels, codes["test"], 3)
+            else:
+                evaluate_accuracy(codes["train"], labels, codes["test"], np.zeros(4, np.int64))
+
     def test_tiny_training_set_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             evaluate_accuracy(
@@ -178,6 +218,54 @@ class TestEvaluateAccuracy:
         rep = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 6))
         assert rep.selected_k == rep.best_k
         assert rep.selected_accuracy == rep.best_accuracy
+
+
+def _oracle_loo_choice(train, labels, ks):
+    """Leave-one-out by deleting each training column, voting with the oracle."""
+    n = train.shape[1]
+    valid = [k for k in ks if k <= n - 1]
+    if not valid:
+        return ks[0]
+    scores = []
+    for k in valid:
+        hits = 0
+        for i in range(n):
+            keep = np.arange(n) != i
+            pred = oracle_predict(train[:, keep], labels[keep], train[:, i : i + 1], k)
+            hits += int(pred[0] == labels[i])
+        scores.append(hits)
+    return valid[int(np.argmax(scores))]
+
+
+@st.composite
+def _grid_knn_case(draw):
+    """Small integer-grid codes drawn from a few points, so distances tie often."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    pick = st.sampled_from(pool)
+    train = np.array(draw(st.lists(pick, min_size=2, max_size=18)), dtype=float).T
+    test = np.array(draw(st.lists(pick, min_size=1, max_size=6)), dtype=float).T
+    n_labels = draw(st.integers(2, 6))
+    label = st.integers(0, n_labels - 1)
+    labels = np.array(draw(st.lists(label, min_size=train.shape[1], max_size=train.shape[1])))
+    targets = np.array(draw(st.lists(label, min_size=test.shape[1], max_size=test.shape[1])))
+    return train, labels, test, targets, draw(st.integers(1, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_grid_knn_case(), selection=st.sampled_from(["best", "cv"]))
+def test_accuracy_curve_matches_oracle_at_every_k(case, selection):
+    train, labels, test, targets, k_max = case
+    rep = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, k_max, selection))
+    assert rep.ks == tuple(range(1, min(k_max, train.shape[1]) + 1))
+    for k, acc in zip(rep.ks, rep.accuracies):
+        assert acc == np.mean(oracle_predict(train, labels, test, k) == targets), f"k={k}"
+    if selection == "cv":
+        assert rep.selected_k == _oracle_loo_choice(train, labels, list(rep.ks))
+    else:
+        assert rep.selected_k == rep.ks[int(np.argmax(rep.accuracies))]
+    assert rep.selected_accuracy == rep.accuracies[rep.ks.index(rep.selected_k)]
 
 
 class TestTestSideCoding:

@@ -224,3 +224,23 @@ def test_eval_model_missing_metadata_key_names_it(tmp_path, dataset, capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "'traces'" in err and "metadata.json" in err and str(model_dir) in err
+
+
+def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsys):
+    model_dir = tmp_path / "model"
+    main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
+        ]
+    )
+    codes = model_dir / "layer_repr_02.txt"
+    _, rest = codes.read_text().split(" ", 1)
+    codes.write_text("nan " + rest)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "finite" in err

@@ -99,3 +99,26 @@ def test_missing_metadata_key_named(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="metadata.json has no key 'alphas'"):
         load_model(str(model_dir))
+
+
+@pytest.mark.parametrize(
+    "name, value", [("layer_repr_02.txt", "nan"), ("dictionary_01.txt", "inf")]
+)
+def test_non_finite_matrix_rejected(tmp_path, name, value):
+    model_dir = _saved_ddlic(tmp_path)
+    matrix = model_dir / name
+    rows = matrix.read_text().splitlines()
+    rows[0] = " ".join([value] + rows[0].split()[1:])
+    matrix.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="must be finite"):
+        load_model(str(model_dir))
+
+
+def test_save_refuses_model_changed_after_construction(tmp_path):
+    rng = np.random.default_rng(4)
+    model = train_ddl(rng.normal(size=(6, 12)), TrainConfig(depth=1, layer_sizes=(4,),
+                                                            iters_per_layer=2))
+    model.labels = np.arange(9) % 3
+    with pytest.raises(ValueError, match="9 training labels for 12 training columns"):
+        save_model(model, str(tmp_path / "m"))
+    assert not (tmp_path / "m" / "metadata.json").exists()
