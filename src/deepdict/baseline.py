@@ -10,6 +10,7 @@ loop (``train_stack``) defined here train the label-aware stack too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,8 +64,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_stack_settings(self)
-        if self.l1_weight < 0:
-            raise ValueError("l1_weight must be >= 0")
+        if not 0 <= self.l1_weight < math.inf:
+            raise ValueError("l1_weight must be finite and >= 0")
 
 
 @dataclass

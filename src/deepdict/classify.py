@@ -125,6 +125,25 @@ def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndar
     return labels
 
 
+def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` rows (k <= row count) of each column's stable ``argsort``.
+
+    Partitions out ``k`` rows per column and stable-sorts only those, in
+    index order, so equal distances rank by row index. The partition takes
+    an arbitrary subset of the rows tied at the k-th distance; a column where
+    it had a choice (more than ``k`` rows within that distance) is ranked in
+    full instead.
+    """
+    rows = np.argpartition(dist, k - 1, axis=0)[:k]
+    rows.sort(axis=0)
+    ranks = np.argsort(np.take_along_axis(dist, rows, axis=0), axis=0, kind="stable")
+    rows = np.take_along_axis(rows, ranks, axis=0)
+    kth = np.take_along_axis(dist, rows[-1:], axis=0)
+    choice = np.flatnonzero(np.count_nonzero(dist <= kth, axis=0) > k)
+    rows[:, choice] = np.argsort(dist[:, choice], axis=0, kind="stable")[:k]
+    return rows
+
+
 def _sweep_votes(dist: np.ndarray, train_labels: np.ndarray, ks: list[int]) -> np.ndarray:
     """Winning label of every column's k nearest rows of ``dist``, one row per k in ``ks``.
 
@@ -132,13 +151,13 @@ def _sweep_votes(dist: np.ndarray, train_labels: np.ndarray, ks: list[int]) -> n
     neighbor first; the winner has the most votes, then the smaller sum,
     then the smaller label.
     """
-    order = np.argsort(dist, axis=0, kind="stable")
+    order = _nearest_rows(dist, max(ks))
     classes, class_ids = np.unique(train_labels, return_inverse=True)
     cols = np.arange(dist.shape[1])
     counts = np.zeros((dist.shape[1], classes.size), dtype=np.int64)
     sums = np.zeros(counts.shape)
     winners = np.empty((len(ks), dist.shape[1]), dtype=np.int64)
-    for rank, nearest in enumerate(order[: max(ks)], start=1):
+    for rank, nearest in enumerate(order, start=1):
         counts[cols, class_ids[nearest]] += 1
         sums[cols, class_ids[nearest]] += dist[nearest, cols]
         if rank in ks:

@@ -9,6 +9,7 @@ shared freely across threads and worker processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,8 +186,8 @@ def make_synthetic_clusters(
     """
     if n_classes < 1 or n_per_class < 1 or dim < 1:
         raise ValueError("n_classes, n_per_class and dim must be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not 0 <= separation < math.inf:
+        raise ValueError("separation must be finite and >= 0")
     rng = np.random.default_rng(seed)
     if n_classes == 1:
         means = np.zeros((dim, 1))

@@ -113,8 +113,8 @@ class ExperimentConfig:
             raise ValueError("train_per_class must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not self.alpha_grid or any(a < 0 for a in self.alpha_grid):
-            raise ValueError("alpha_grid must be non-empty with values >= 0")
+        if not self.alpha_grid or not all(0 <= a < math.inf for a in self.alpha_grid):
+            raise ValueError("alpha_grid must be non-empty with finite values >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

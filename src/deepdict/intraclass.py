@@ -10,6 +10,7 @@ non-increasing. Layers are trained greedily and never revisited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,10 @@ class DdlicConfig:
         check_stack_settings(self)
         if len(self.alphas) != self.depth:
             raise ValueError("alphas length must equal depth")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("alphas must be >= 0")
-        if self.stop_rel_tol is not None and self.stop_rel_tol <= 0:
-            raise ValueError("stop_rel_tol must be > 0 when given")
+        if not all(0 <= a < math.inf for a in self.alphas):
+            raise ValueError("alphas must be finite and >= 0")
+        if self.stop_rel_tol is not None and not 0 < self.stop_rel_tol < math.inf:
+            raise ValueError("stop_rel_tol must be finite and > 0 when given")
 
 
 @dataclass

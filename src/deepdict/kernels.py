@@ -7,6 +7,7 @@ read-only matrices. Samples are columns throughout.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -46,8 +47,8 @@ class RidgePolicy:
     epsilon_scale: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.epsilon_scale < 0:
-            raise ValueError("epsilon_scale must be >= 0")
+        if not 0 <= self.epsilon_scale < math.inf:
+            raise ValueError("epsilon_scale must be finite and >= 0")
 
 
 DEFAULT_RIDGE = RidgePolicy()
@@ -261,12 +262,13 @@ def check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
 
 @dataclass(frozen=True)
 class IstaConfig:
-    """Iterative soft-thresholding settings.
+    """Sparse coding settings.
 
     ``step=None`` derives the step size from the dictionary's spectral norm
     by power iteration; a fixed positive step can be supplied instead.
-    Iteration stops early once the relative change of the iterate drops
-    below ``rel_tol``.
+    Coding stops once a plain soft-thresholding (ISTA) step moves the codes
+    by at most ``rel_tol`` times their norm. ``max_iters`` bounds all
+    iterations of a call.
     """
 
     max_iters: int = 500
@@ -276,10 +278,10 @@ class IstaConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be > 0 when given")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and > 0")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and > 0 when given")
 
 
 def gram_spectral_norm(gram: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
@@ -315,6 +317,96 @@ def sparse_objective(
     return float(np.sum(resid * resid) + l1_weight * np.abs(codes).sum())
 
 
+class _Lasso:
+    """Soft-thresholding steps and per-column objectives of one lasso problem.
+
+    The caller supplies each Gram product ``gram @ codes``, so a solver pays
+    for one per iteration, and owns the output buffers. ``scratch`` is free
+    again when a method returns.
+    """
+
+    def __init__(self, gram, corr, inputs, l1_weight: float, step: float) -> None:
+        self.gram, self.corr = gram, corr
+        self.l1_weight, self.step = l1_weight, step
+        self.threshold = 0.5 * step * l1_weight
+        self.sq_inputs = np.einsum("ij,ij->j", inputs, inputs)
+        self.scratch = np.empty(corr.shape)
+
+    def step_into(self, out: np.ndarray, codes: np.ndarray, gram_codes: np.ndarray) -> None:
+        """One ISTA step from ``codes``: soft-threshold ``codes - step * gradient``."""
+        shifted = self.scratch
+        np.subtract(gram_codes, self.corr, out=shifted)
+        np.multiply(shifted, -self.step, out=shifted)
+        shifted += codes
+        # v - clip(v, -t, t) equals sign(v) * max(|v| - t, 0) bit for bit
+        np.clip(shifted, -self.threshold, self.threshold, out=out)
+        np.subtract(shifted, out, out=out)
+
+    def objective(self, codes: np.ndarray, gram_codes: np.ndarray) -> np.ndarray:
+        """Each column's squared reconstruction error plus weighted L1 norm."""
+        value = np.einsum("ij,ij->j", codes, gram_codes)
+        value -= 2.0 * np.einsum("ij,ij->j", codes, self.corr)
+        value += self.sq_inputs
+        np.abs(codes, out=self.scratch)
+        value += self.l1_weight * self.scratch.sum(axis=0)
+        return value
+
+
+def _accelerate(lasso: _Lasso, codes, gram_codes, budget: int, rel_tol: float, trace):
+    """FISTA from ``codes`` with per-column adaptive restart.
+
+    Takes over ``codes`` and ``gram_codes`` (``gram @ codes``) as buffers.
+    Runs at most ``budget`` iterations, and stops early once the step from
+    the extrapolated point ``y`` moves by at most ``rel_tol * |y|``. A
+    column's momentum restarts when its step opposes it. Returns each
+    column's best codes so far by that column's objective, so never worse
+    than ``codes``, and the iterations run. ``trace``, if a list, gets the
+    kept codes' objective after every iteration.
+    """
+    prev, gram_prev = codes, gram_codes
+    y, gram_y = codes.copy(), gram_codes.copy()
+    z, gram_z = np.empty_like(codes), np.empty_like(codes)
+    kept = np.empty_like(codes)  # the best codes of columns whose best is not in ``prev``
+    best = lasso.objective(prev, gram_prev)
+    best_in_prev = np.ones(best.shape, dtype=bool)
+    theta = np.ones(best.shape)
+    iters = 0
+    while iters < budget:
+        iters += 1
+        lasso.step_into(z, y, gram_y)
+        np.matmul(lasso.gram, z, out=gram_z)
+        objective = lasso.objective(z, gram_z)
+        improved = objective < best
+        leaving = best_in_prev & ~improved  # best in ``prev``, which is reused below
+        if leaving.any():
+            kept[:, leaving] = prev[:, leaving]
+        best_in_prev = improved
+        np.copyto(best, objective, where=improved)
+        if trace is not None:
+            trace.append(float(best.sum()))
+        moved = np.subtract(z, y, out=lasso.scratch)
+        prev, z = z, prev
+        gram_prev, gram_z = gram_z, gram_prev
+        if np.linalg.norm(moved) <= rel_tol * np.linalg.norm(y):
+            break
+        # y turns into the momentum prev - z (new minus old), then the next point
+        momentum = np.subtract(prev, z, out=y)
+        restart = np.einsum("ij,ij->j", moved, momentum) < 0  # <y - z, z - x> > 0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        beta = (theta - 1.0) / theta_next
+        theta_next[restart] = 1.0
+        beta[restart] = 0.0
+        theta = theta_next
+        momentum *= beta
+        y += prev
+        # gram @ y from the products in hand
+        np.subtract(gram_prev, gram_z, out=gram_y)
+        gram_y *= beta
+        gram_y += gram_prev
+    kept[:, best_in_prev] = prev[:, best_in_prev]
+    return kept, iters
+
+
 def ista_sparse_code(
     dictionary: np.ndarray,
     inputs: np.ndarray,
@@ -326,12 +418,19 @@ def ista_sparse_code(
     """Sparse codes minimizing reconstruction error plus an L1 penalty.
 
     Solves ``min_Z ||inputs - dictionary @ Z||_F^2 + l1_weight * ||Z||_1``
-    by proximal gradient (soft-thresholding) steps. With the auto-derived
-    step the objective is non-increasing across iterations. Stopping at
-    ``cfg.max_iters`` before ``cfg.rel_tol`` is met issues a
-    ``RuntimeWarning`` (one fixed message, so Python's default filter shows
-    it once per calling line). When ``return_trace`` is true, also returns
-    the objective value at the start and after every iteration.
+    in two phases. FISTA (Beck & Teboulle 2009) with per-column adaptive
+    restart (O'Donoghue & Candes 2015) runs from the warm start and keeps
+    each column's best codes; plain soft-thresholding (ISTA) steps then run
+    from the kept codes until one moves them by at most ``cfg.rel_tol``
+    times their norm. That last step's result is returned, so the codes are
+    certified by ISTA's stopping rule. ``cfg.max_iters`` bounds the
+    iterations of both phases together; stopping there before the rule
+    holds issues a ``RuntimeWarning`` (one fixed message, so Python's
+    default filter shows it once per calling line). With the auto-derived
+    step the objective of the kept and returned codes is non-increasing.
+    When ``return_trace`` is true, also returns that objective at the start
+    and after every iteration, so ``len(trace) - 1`` iterations ran; the
+    codes are the same either way. Non-finite inputs raise ``ValueError``.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
@@ -339,10 +438,16 @@ def ista_sparse_code(
         raise ValueError(
             f"row counts differ: dictionary has {dictionary.shape[0]}, inputs has {inputs.shape[0]}"
         )
-    if l1_weight < 0:
-        raise ValueError("l1_weight must be >= 0")
+    if not 0 <= l1_weight < math.inf:
+        raise ValueError("l1_weight must be finite and >= 0")
+    _require_finite(dictionary, "dictionary")
+    _require_finite(inputs, "inputs")
     n_atoms = dictionary.shape[1]
     n_samples = inputs.shape[1]
+    if warm_start is not None:
+        if warm_start.shape != (n_atoms, n_samples):
+            raise ValueError("warm_start has the wrong shape")
+        _require_finite(warm_start, "warm_start")
     if n_samples == 0:
         empty = np.zeros((n_atoms, 0))
         return (empty, np.zeros(0)) if return_trace else empty
@@ -356,26 +461,28 @@ def ista_sparse_code(
         step = 1.0 / spectral
     else:
         step = cfg.step
+    lasso = _Lasso(gram, corr, inputs, l1_weight, step)
 
     if warm_start is None:
-        codes = np.zeros((n_atoms, n_samples))
+        codes, gram_codes = np.zeros((n_atoms, n_samples)), np.zeros((n_atoms, n_samples))
     else:
-        if warm_start.shape != (n_atoms, n_samples):
-            raise ValueError("warm_start has the wrong shape")
-        codes = np.array(warm_start, dtype=float)
-
-    threshold = 0.5 * step * l1_weight
-    trace = [sparse_objective(dictionary, inputs, codes, l1_weight)] if return_trace else None
-    for _ in range(cfg.max_iters):
-        # gradient of 0.5 * ||inputs - dictionary @ codes||_F^2
-        grad = gram @ codes - corr
-        shifted = codes - step * grad
-        new_codes = np.sign(shifted) * np.maximum(np.abs(shifted) - threshold, 0.0)
-        delta = float(np.linalg.norm(new_codes - codes))
+        # C order like every buffer below; ridge_code returns Fortran order
+        codes = np.array(warm_start, dtype=float, order="C")
+        gram_codes = gram @ codes
+    trace = [float(lasso.objective(codes, gram_codes).sum())] if return_trace else None
+    # Leave the last iteration to ISTA, so the returned codes come from its step.
+    codes, iters = _accelerate(lasso, codes, gram_codes, cfg.max_iters - 1, cfg.rel_tol, trace)
+    gram_codes = gram @ codes
+    new, gram_new = np.empty_like(codes), np.empty_like(codes)
+    for _ in range(iters, cfg.max_iters):
+        lasso.step_into(new, codes, gram_codes)
+        np.matmul(gram, new, out=gram_new)
+        delta = float(np.linalg.norm(np.subtract(new, codes, out=lasso.scratch)))
         reference = float(np.linalg.norm(codes))
-        codes = new_codes
+        codes, new = new, codes
+        gram_codes, gram_new = gram_new, gram_codes
         if return_trace:
-            trace.append(sparse_objective(dictionary, inputs, codes, l1_weight))
+            trace.append(float(lasso.objective(codes, gram_codes).sum()))
         if delta <= cfg.rel_tol * reference:
             break
     else:

@@ -60,6 +60,28 @@ class TestKnnPredict:
             want = oracle_predict(train, labels, test, k)
             assert np.array_equal(got, want)
 
+    def test_ties_straddling_the_largest_k_take_the_lowest_indices(self):
+        # Around the origin: three rows at distance 1, six tied at distance 2
+        # (+-2 e_i), five at distance 3. k = 5 takes the two lowest-index tied
+        # rows, whichever rows a partition of the distances would pick.
+        rng = RNG(21)
+        near = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0]]).T
+        tied = np.concatenate([2 * np.eye(3), -2 * np.eye(3)], axis=1)
+        far = 3 * np.concatenate([np.eye(3), -np.eye(3)[:, :2]], axis=1)
+        base = np.concatenate([near, tied, far], axis=1)
+        base_labels = np.array([0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 2, 2, 2, 2])
+        test = np.zeros((3, 2))
+        for trial in range(20):
+            perm = rng.permutation(base.shape[1])
+            train, labels = base[:, perm], base_labels[perm]
+            for k in (4, 5, 6, 8):
+                got = knn_predict(train, labels, test, k)
+                assert np.array_equal(got, oracle_predict(train, labels, test, k)), (trial, k)
+            rep = evaluate_accuracy(train, labels, test, np.array([1, 0]), KnnConfig(1, 5, "cv"))
+            for k, acc in zip(rep.ks, rep.accuracies):
+                assert acc == np.mean(oracle_predict(train, labels, test, k) == [1, 0])
+            assert rep.selected_k == _oracle_loo_choice(train, labels, list(rep.ks))
+
     def test_vote_count_beats_distance(self):
         # two votes for 1 at moderate distance beat one very close vote for 0
         train = np.array([[0.0, 2.0, 2.1]])

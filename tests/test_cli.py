@@ -244,3 +244,25 @@ def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsy
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--alphas", "nan,nan"], "alphas"),
+        (["--alphas", "0.001,inf"], "alphas"),
+        (["--method", "ddl", "--l1-weight", "nan"], "l1_weight"),
+    ],
+)
+def test_experiment_rejects_non_finite_settings(tmp_path, dataset, capsys, flags, key):
+    out = tmp_path / "out"
+    rc = main(
+        ["experiment", "--data", str(dataset), "--layer-sizes", "6,4", "--h", "5",
+         "--replicates", "1", "--iters", "2", "--out", str(out)] + flags
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert key in err and "finite" in err
+    assert not out.exists()

@@ -1,11 +1,15 @@
 """Gram solves, dictionary initialization, and the sparse coding loop."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from deepdict.baseline import TrainConfig
+from deepdict.harness import ExperimentConfig
+from deepdict.intraclass import DdlicConfig
 from deepdict.kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
@@ -22,6 +26,55 @@ from deepdict.kernels import (
 )
 
 RNG = np.random.default_rng
+
+
+def oracle_ista(dictionary, inputs, l1_weight, cfg, warm_start=None):
+    """Plain ISTA with the same step and stopping rule: (codes, iterations, rule met)."""
+    gram = dictionary.T @ dictionary
+    corr = dictionary.T @ inputs
+    step = 1.0 / gram_spectral_norm(gram) if cfg.step is None else cfg.step
+    if warm_start is None:
+        codes = np.zeros((dictionary.shape[1], inputs.shape[1]))
+    else:
+        codes = np.array(warm_start, dtype=float)
+    threshold = 0.5 * step * l1_weight
+    for it in range(1, cfg.max_iters + 1):
+        shifted = codes - step * (gram @ codes - corr)
+        new_codes = np.sign(shifted) * np.maximum(np.abs(shifted) - threshold, 0.0)
+        delta = float(np.linalg.norm(new_codes - codes))
+        reference = float(np.linalg.norm(codes))
+        codes = new_codes
+        if delta <= cfg.rel_tol * reference:
+            return codes, it, True
+    return codes, cfg.max_iters, False
+
+
+def kkt_within_stop_rule(dictionary, inputs, codes, l1_weight, cfg):
+    """The lasso optimality conditions hold to the bound ISTA's stopping rule
+    implies: a step moving the codes by ``delta`` leaves a violation of at
+    most ``(1/t + L) * delta`` (the benchmark's ``check_lasso_kkt``)."""
+    gram = dictionary.T @ dictionary
+    lipschitz = float(np.linalg.eigvalsh(gram)[-1])
+    inv_step = lipschitz if cfg.step is None else 1.0 / cfg.step
+    delta = cfg.rel_tol * np.linalg.norm(codes) / (1.0 - cfg.rel_tol)
+    rounding = 1e-12 * (np.linalg.norm(gram) * np.linalg.norm(codes)
+                        + np.linalg.norm(dictionary.T @ inputs))
+    grad = dictionary.T @ (dictionary @ codes - inputs)
+    half = 0.5 * l1_weight
+    viol = np.where(codes != 0, np.abs(grad + half * np.sign(codes)),
+                    np.maximum(np.abs(grad) - half, 0.0))
+    return np.linalg.norm(viol) <= (inv_step + lipschitz) * delta * (1.0 + 1e-6) + rounding
+
+
+def lasso_case(seed, shape, warm):
+    """A random lasso problem: dictionary, inputs, L1 weight, warm start or None."""
+    rng = RNG(seed)
+    rows, atoms = shape
+    dictionary = rng.normal(size=(rows, atoms))
+    inputs = rng.normal(size=(rows, 15))
+    l1_weight = float(rng.uniform(0.05, 2.0))
+    start = rng.normal(size=(atoms, 15)) * rng.random((atoms, 15)) if warm else None
+    return dictionary, inputs, l1_weight, start
 
 
 class TestGramSolver:
@@ -264,6 +317,67 @@ class TestSparseCoding:
             )
         assert len(trace) - 1 < 5000
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("shape", [(10, 25), (20, 8)], ids=["overcomplete", "undercomplete"])
+    def test_matches_or_beats_plain_ista(self, shape, warm):
+        for seed in range(6):
+            d, x, lam, start = lasso_case(seed, shape, warm)
+            for cfg in (IstaConfig(), IstaConfig(max_iters=4000, rel_tol=1e-9),
+                        IstaConfig(max_iters=6)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    codes, trace = ista_sparse_code(d, x, lam, cfg, start, return_trace=True)
+                warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert np.array_equal(codes, ista_sparse_code(d, x, lam, cfg, start))
+                    if warm:  # ridge_code's codes, a usual warm start, are in Fortran order
+                        fortran = np.asfortranarray(start)
+                        assert np.array_equal(codes, ista_sparse_code(d, x, lam, cfg, fortran))
+                    want, _, _ = oracle_ista(d, x, lam, cfg, start)
+                iters = len(trace) - 1
+                assert 1 <= iters <= cfg.max_iters
+                assert (np.diff(trace) <= 1e-12 * np.abs(trace[:-1])).all()
+                got = sparse_objective(d, x, codes, lam)
+                assert abs(trace[-1] - got) <= 1e-10 * got
+                zero = np.zeros_like(codes) if start is None else start
+                assert got <= sparse_objective(d, x, zero, lam) * (1 + 1e-12)
+                assert got <= sparse_objective(d, x, want, lam) * (1 + 1e-10)
+                if warned:
+                    assert iters == cfg.max_iters
+                else:
+                    assert kkt_within_stop_rule(d, x, codes, lam, cfg)
+                if cfg.max_iters == 4000:
+                    assert not warned
+
+    def test_ill_conditioned_problem_needs_a_third_of_the_iterations(self):
+        rng = RNG(23)
+        left, _ = np.linalg.qr(rng.normal(size=(30, 20)))
+        right, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+        d = left @ np.diag(np.geomspace(1.0, 1e-2, 20)) @ right.T
+        x = d @ rng.normal(size=(20, 10)) + 0.01 * rng.normal(size=(30, 10))
+        cfg = IstaConfig(max_iters=100_000, rel_tol=1e-7)
+        want, oracle_iters, met = oracle_ista(d, x, 1e-3, cfg)
+        codes, trace = ista_sparse_code(d, x, 1e-3, cfg, return_trace=True)
+        assert met
+        assert len(trace) - 1 <= oracle_iters / 3
+        assert sparse_objective(d, x, codes, 1e-3) <= sparse_objective(d, x, want, 1e-3) * (1 + 1e-10)
+        assert kkt_within_stop_rule(d, x, codes, 1e-3, cfg)
+
+    @pytest.mark.parametrize("where", ["dictionary", "inputs", "warm_start"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, where, bad):
+        args = {"dictionary": np.eye(3), "inputs": np.ones((3, 2)), "warm_start": np.zeros((3, 2))}
+        args[where][1, 1] = bad
+        with pytest.raises(ValueError, match=f"{where} must not contain infs or NaNs"):
+            ista_sparse_code(args["dictionary"], args["inputs"], 0.1,
+                             warm_start=args["warm_start"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_bad_l1_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="l1_weight must be finite and >= 0"):
+            ista_sparse_code(np.eye(3), np.ones((3, 2)), bad)
+
     def test_zero_dictionary_rejected(self):
         with pytest.raises(ValueError, match="spectral norm"):
             ista_sparse_code(np.zeros((4, 3)), np.ones((4, 2)), 0.1)
@@ -283,3 +397,35 @@ class TestSparseCoding:
 
     def test_default_policy_epsilon_scale(self):
         assert DEFAULT_RIDGE.epsilon_scale == 1e-10
+
+
+class TestSettingsRejectNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ista_config(self, bad):
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            IstaConfig(rel_tol=bad)
+        with pytest.raises(ValueError, match="step must be finite"):
+            IstaConfig(step=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ridge_policy(self, bad):
+        with pytest.raises(ValueError, match="epsilon_scale must be finite"):
+            RidgePolicy(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_trainer_configs(self, bad):
+        with pytest.raises(ValueError, match="l1_weight must be finite"):
+            TrainConfig(depth=1, layer_sizes=(4,), l1_weight=bad)
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            DdlicConfig(depth=2, layer_sizes=(4, 2), alphas=(0.1, bad))
+        with pytest.raises(ValueError, match="stop_rel_tol must be finite"):
+            DdlicConfig(depth=1, layer_sizes=(4,), alphas=(0.1,), stop_rel_tol=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_experiment_config(self, bad):
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            ExperimentConfig(layer_sizes=(4,), alphas=(bad,))
+        with pytest.raises(ValueError, match="l1_weight must be finite"):
+            ExperimentConfig(layer_sizes=(4,), alphas=(0.1,), l1_weight=bad)
+        with pytest.raises(ValueError, match="alpha_grid must be non-empty with finite"):
+            ExperimentConfig(layer_sizes=(4,), alphas=(0.1,), alpha_grid=(0.0, bad))
