@@ -10,6 +10,7 @@ shared freely across threads and worker processes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,20 +218,26 @@ def _parse_float(field: str, path: str, lineno: int, col: int) -> float:
             f"{path}:{lineno}: field {col} is not a number: {field!r}"
         ) from None
     if not np.isfinite(value):
-        raise ValueError(f"{path}: non-finite value at ({lineno},{col})")
+        raise ValueError(f"{path}:{lineno}: field {col} is not finite: {field!r}")
     return value
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_label(field: str, path: str, lineno: int) -> int:
     try:
-        return int(field)
+        value = int(field)
     except ValueError:
         raise ValueError(
             f"{path}:{lineno}: label {field!r} is not an integer"
         ) from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{path}:{lineno}: label {field!r} is out of range")
+    return value
 
 
-def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
     # One sample per row: comma-separated features, trailing integer label.
     rows = []
     labels = []
@@ -261,7 +268,7 @@ def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=float).T, np.array(labels, dtype=np.int64)
 
 
-def _read_matrix(path: str) -> np.ndarray:
+def _read_matrix_lines(path: str) -> np.ndarray:
     # Whitespace-separated matrix: rows are features, columns are samples.
     rows = []
     width = None
@@ -286,7 +293,7 @@ def _read_matrix(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _read_labels(path: str) -> np.ndarray:
+def _read_labels_lines(path: str) -> np.ndarray:
     labels = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -297,6 +304,68 @@ def _read_labels(path: str) -> np.ndarray:
     if not labels:
         raise ValueError(f"{path}: no labels")
     return np.array(labels, dtype=np.int64)
+
+
+# The bytes a file may hold for the one-conversion parse. On these,
+# np.loadtxt reads every number as float()/int() do, and bytes.splitlines()
+# breaks lines as a text-mode file does. NumPy 2.4 reads some other
+# characters differently: it skips \x1c-\x1f around numbers, which int()
+# and float() reject; it read the label "3\U0009c6ca" as 640696, and a scan
+# of non-ASCII characters in a label field crashed the interpreter.
+_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _fast_lines(path: str) -> list[bytes] | None:
+    """The file's lines, or None if it holds a byte outside ``_FAST_BYTES``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.translate(None, _FAST_BYTES):
+        return None
+    return raw.splitlines()
+
+
+def _loadtxt(lines: list[bytes] | None, dtype, delimiter: str | None, ndmin: int):
+    """All lines in one ``np.loadtxt`` conversion, or None when the line
+    parser has to read them: NumPy rejects them, warns or finds no rows."""
+    if lines is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
+                             comments=None, ndmin=ndmin)
+    except (ValueError, Warning):
+        return None
+    return out if out.size else None
+
+
+def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
+    lines = _fast_lines(path)
+    width = lines[0].count(b",") + 1 if lines else 0
+    rows = None
+    if width >= 2:
+        # width - 1 float features plus one int64 label, as the first line has
+        dtype = [("f", float, (width - 1,)), ("y", np.int64)]
+        rows = _loadtxt(lines, dtype, ",", ndmin=1)
+    if rows is None or not np.isfinite(rows["f"]).all():
+        return _read_dense_lines(path)
+    # transposed C order, the layout the line parser returns
+    return np.array(rows["f"]).T, np.array(rows["y"])
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    feats = _loadtxt(_fast_lines(path), float, None, ndmin=2)
+    if feats is None or not np.isfinite(feats).all():
+        return _read_matrix_lines(path)
+    return feats
+
+
+def _read_labels(path: str) -> np.ndarray:
+    # a comma splits a line into columns for NumPy but not for int()
+    labels = _loadtxt(_fast_lines(path), np.int64, ",", ndmin=2)
+    if labels is None or labels.shape[1] != 1:
+        return _read_labels_lines(path)
+    return labels[:, 0]
 
 
 def load_labeled_matrix(
@@ -346,16 +415,14 @@ def save_labeled_matrix(
     orig = data.original_labels
     if format == "dense":
         with open(path, "w") as fh:
-            for j in range(data.num_samples):
-                cells = [repr(float(v)) for v in data.features[:, j]]
-                cells.append(str(int(orig[j])))
-                fh.write(",".join(cells) + "\n")
+            for row, label in zip(data.features.T.tolist(), orig.tolist()):
+                fh.write(f"{','.join(map(repr, row))},{label}\n")
     elif format == "pair":
         if labels_path is None:
             raise ValueError("pair format requires labels_path")
         with open(path, "w") as fh:
-            for i in range(data.feature_dim):
-                fh.write(" ".join(repr(float(v)) for v in data.features[i, :]) + "\n")
+            for row in data.features.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
         with open(labels_path, "w") as fh:
             fh.writelines(f"{int(v)}\n" for v in orig)
     else:

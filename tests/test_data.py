@@ -1,8 +1,13 @@
 """Dataset container, file formats, splits, and synthetic generation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import deepdict.data as dd
 from deepdict.data import (
     LabeledMatrix,
     SplitSpec,
@@ -219,3 +224,275 @@ class TestFileFormats:
         path.write_text("1.0,1\n")
         with pytest.raises(ValueError, match="unknown format"):
             load_labeled_matrix(str(path), format="fancy")
+
+
+class TestParseErrors:
+    """Every parse error names the file, the line and, for a field, its column."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0,1\n\n1.0,oops,1\n", "3: field 2 is not a number: 'oops'"),
+        ("1.0,2.0,1\n1.0,2.0,1.5\n", "2: label '1.5' is not an integer"),
+        ("1.0,2.0,1\n1.0,2\n", "2: expected 3 fields, got 2"),
+        ("\n7\n", "2: expected at least one feature plus a label"),
+        ("1.0,nan,1\n", "1: field 2 is not finite: 'nan'"),
+        ("1.0,2.0,1\n-inf,2.0,1\n", "2: field 1 is not finite: '-inf'"),
+        ("1.0,2.0,1\n1.0,2.0,99999999999999999999\n",
+         "2: label '99999999999999999999' is out of range"),
+        ("1.0,2.0,-9223372036854775809\n", "1: label '-9223372036854775809' is out of range"),
+    ])
+    def test_dense_error_position(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_labeled_matrix(str(path))
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_no_samples_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\n  \n")
+        with pytest.raises(ValueError) as err:
+            load_labeled_matrix(str(path))
+        assert str(err.value) == f"{path}: no samples"
+
+    @pytest.mark.parametrize("matrix, labels, where, message", [
+        ("1.0 2.0\n3.0 x\n", "0\n1\n", "x", "2: field 2 is not a number: 'x'"),
+        ("1.0 2.0\n3.0\n", "0\n1\n", "x", "2: expected 2 fields, got 1"),
+        ("1.0 inf\n", "0\n1\n", "x", "1: field 2 is not finite: 'inf'"),
+        ("1.0 2.0\n", "0\n\n99999999999999999999\n", "y",
+         "3: label '99999999999999999999' is out of range"),
+        ("1.0 2.0\n", "0\n1,2\n", "y", "2: label '1,2' is not an integer"),
+        ("1.0 2.0 3.0\n4.0 5.0 6.0\n", "0\n1\n", "y", " 2 labels for 3 samples"),
+        ("\n", "0\n", "x", " empty matrix"),
+        ("1.0\n", " \n", "y", " no labels"),
+    ])
+    def test_pair_error_position(self, tmp_path, matrix, labels, where, message):
+        mat, lab = tmp_path / "x.txt", tmp_path / "y.txt"
+        mat.write_text(matrix)
+        lab.write_text(labels)
+        with pytest.raises(ValueError) as err:
+            load_labeled_matrix(str(mat), format="pair", labels_path=str(lab))
+        named = mat if where == "x" else lab
+        assert str(err.value) == f"{named}:{message}"
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.strides == w.strides
+        assert g.tobytes() == w.tobytes()
+
+
+def _same_array(got, want):
+    _same_arrays((got,), (want,))
+
+
+def _same_matrix(got: LabeledMatrix, want: LabeledMatrix):
+    _same_arrays((got.features, got.labels, got.label_values),
+                 (want.features, want.labels, want.label_values))
+    _same_arrays(got.class_index, want.class_index)
+
+
+def _agree(fast, oracle, same, path):
+    """``fast(path)`` gives what ``oracle(path)`` gives, as ``same``
+    compares it, or raises the oracle's error with the oracle's message."""
+    try:
+        want = oracle(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            fast(path)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        same(fast(path), want)
+
+
+# The line parsers, the oracle; bound here so that the spy below never
+# counts the oracle's own calls.
+_DENSE_LINES, _MATRIX_LINES, _LABELS_LINES = (
+    dd._read_dense_lines, dd._read_matrix_lines, dd._read_labels_lines)
+
+
+def _check_dense(path):
+    """The one-conversion parse against the line parser: equal arrays, or
+    the same error, and no warning."""
+    path = str(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _agree(dd._read_dense, _DENSE_LINES, _same_arrays, path)
+        _agree(load_labeled_matrix, lambda p: LabeledMatrix.from_arrays(*_DENSE_LINES(p)),
+               _same_matrix, path)
+    assert caught == []
+
+
+def _check_pair(mat, lab):
+    """The same for a matrix file and a labels file."""
+    mat, lab = str(mat), str(lab)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _agree(dd._read_matrix, _MATRIX_LINES, _same_array, mat)
+        _agree(dd._read_labels, _LABELS_LINES, _same_array, lab)
+    assert caught == []
+
+
+# Numbers as writers print them: shortest repr, 25 significant digits, and
+# subnormals; labels anywhere in int64.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda v: "%.25g" % v),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr),
+)
+_LABEL = st.integers(-(2**63), 2**63 - 1).map(str)
+# One field turned into something the fast path must leave to the line parser.
+_BAD_FIELD = st.sampled_from(
+    ["nan", "inf", "-Infinity", "#x", "", "3.0", "1_0", "\u0661", "99999999999999999999",
+     "1e999", "3\x1c", "3\U0009c6ca", "2\xa0"]
+)
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+def _mutate(draw, rows):
+    """At most one field of ``rows`` made bad, or a trailing comma added."""
+    kind = draw(st.sampled_from(["none", "none", "field", "comma"]))
+    if kind != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "field":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_BAD_FIELD)
+        else:
+            rows[i][-1] += ","
+    return rows
+
+
+def _render(draw, rows, sep):
+    """``rows`` as file text: padded fields, blank and whitespace-only
+    lines, LF or CRLF endings, and an optional last line ending."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
+        lines.append(sep.join(draw(_PAD) + f + draw(_PAD) for f in row))
+    text = eol.join(lines)
+    return (text + eol if draw(st.booleans()) else text).encode()
+
+
+@st.composite
+def _dense_file(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rows = [[draw(_NUMBER) for _ in range(d)] + [draw(_LABEL)] for _ in range(n)]
+    return _render(draw, _mutate(draw, rows), ",")
+
+
+@st.composite
+def _pair_files(draw):
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    matrix = [[draw(_NUMBER) for _ in range(n)] for _ in range(d)]
+    labels = [[draw(_LABEL)] for _ in range(n)]
+    if draw(st.booleans()):
+        matrix = _mutate(draw, matrix)
+    else:
+        labels = _mutate(draw, labels)
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    return _render(draw, matrix, sep), _render(draw, labels, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_dense_file())
+def test_dense_parse_matches_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("dense") / "d.csv"
+    path.write_bytes(text)
+    _check_dense(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=_pair_files())
+def test_pair_parse_matches_line_parser(tmp_path_factory, files):
+    root = tmp_path_factory.mktemp("pair")
+    mat, lab = root / "x.txt", root / "y.txt"
+    mat.write_bytes(files[0])
+    lab.write_bytes(files[1])
+    _check_pair(mat, lab)
+
+
+@pytest.fixture
+def line_parser_calls(monkeypatch):
+    """Count the calls that reach the line parsers."""
+    calls = []
+    for name in ("_read_dense_lines", "_read_matrix_lines", "_read_labels_lines"):
+        def spy(path, _real=getattr(dd, name), _name=name):
+            calls.append(_name)
+            return _real(path)
+        monkeypatch.setattr(dd, name, spy)
+    return calls
+
+
+class TestFastParse:
+    def test_written_files_need_no_line_parser(self, tmp_path, line_parser_calls):
+        data = make_synthetic_clusters(3, 4, 5, 3.0, seed=7)
+        dense, mat, lab = tmp_path / "d.csv", tmp_path / "x.txt", tmp_path / "y.txt"
+        save_labeled_matrix(data, str(dense))
+        save_labeled_matrix(data, str(mat), format="pair", labels_path=str(lab))
+        for back in (load_labeled_matrix(str(dense)),
+                     load_labeled_matrix(str(mat), format="pair", labels_path=str(lab))):
+            assert back.features.tobytes() == data.features.tobytes()
+            assert np.array_equal(back.original_labels, data.original_labels)
+        assert line_parser_calls == []
+
+    def test_dense_features_keep_the_transposed_layout(self, tmp_path, line_parser_calls):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,3.0,1\n4.0,5.0,6.0,2\n")
+        feats, labels = dd._read_dense(str(path))
+        assert line_parser_calls == []
+        assert feats.flags.f_contiguous and feats.strides == (8, 24)
+        assert feats.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
+        assert labels.tolist() == [1, 2] and labels.dtype == np.int64
+
+    @pytest.mark.parametrize("text", [
+        "1_0,2.0,1\n",                               # float() reads 10.0
+        "1.0,2.0,\u0661\n",                          # int() reads Arabic-Indic 1
+        "1.0,2.0,1\n \n3.0,4.0,2\n",                  # whitespace-only line
+        "1.0,2.0,9223372036854775808\n",              # beyond int64
+        "1.0,nan,1\n",
+        "inf,2.0,1\n",
+        "1e999,2.0,1\n",                              # overflows to inf
+        "",
+        "\n",
+        "5\n3\n",                                     # label-only rows
+        "1.0,2.0,3.0\n",                              # float label
+        "1.0,3\x1c\n",                                # NumPy skips \x1c, int() does not
+        "1.0,3\U0009c6ca\n",                          # NumPy reads it as digits
+        "\n1.0,2.0,1\n",                              # the first line is blank
+    ])
+    def test_inputs_the_line_parser_decides(self, tmp_path, line_parser_calls, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        _check_dense(path)
+        assert line_parser_calls == ["_read_dense_lines"] * 2
+
+    @pytest.mark.parametrize("matrix, labels, fast", [
+        ("1.0 2.0\n", "0\n1\n", True),                # one row
+        ("1.0\n2.0\n", "0\n", True),                   # one column
+        ("1.0\t 2.0\n 3.0 4.0 \n", "0\r\n1\r\n", True),
+        ("1.0 2.0\n", "0,1\n", False),                 # one line, two labels
+        ("1.0 1_0\n", " \n", False),
+        ("1.0\xa02.0\n", "\u0661\n", False),
+        ("\n \n", "\t\n", False),                     # NumPy's empty-input warning
+    ])
+    def test_pair_fast_and_fallback_cases(self, tmp_path, line_parser_calls, matrix, labels,
+                                          fast):
+        mat, lab = tmp_path / "x.txt", tmp_path / "y.txt"
+        mat.write_bytes(matrix.encode())
+        lab.write_bytes(labels.encode())
+        _check_pair(mat, lab)
+        assert (line_parser_calls == []) == fast
+
+
+def test_save_writes_shortest_reprs(tmp_path):
+    feats = np.array([[0.1, -0.0, 5e-324], [1e16, 2.5, -1.0]])
+    data = LabeledMatrix.from_arrays(feats, np.array([-3, 7, 2**62]))
+    dense, mat, lab = tmp_path / "d.csv", tmp_path / "x.txt", tmp_path / "y.txt"
+    save_labeled_matrix(data, str(dense))
+    save_labeled_matrix(data, str(mat), format="pair", labels_path=str(lab))
+    assert dense.read_text() == (
+        "0.1,1e+16,-3\n-0.0,2.5,7\n5e-324,-1.0,4611686018427387904\n"
+    )
+    assert mat.read_text() == "0.1 -0.0 5e-324\n1e+16 2.5 -1.0\n"
+    assert lab.read_text() == "-3\n7\n4611686018427387904\n"
