@@ -10,7 +10,6 @@ shared freely across threads and worker processes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,7 +267,7 @@ def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=float).T, np.array(labels, dtype=np.int64)
 
 
-def _read_matrix_lines(path: str) -> np.ndarray:
+def _read_matrix(path: str) -> np.ndarray:
     # Whitespace-separated matrix: rows are features, columns are samples.
     rows = []
     width = None
@@ -293,7 +292,7 @@ def _read_matrix_lines(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _read_labels_lines(path: str) -> np.ndarray:
+def _read_labels(path: str) -> np.ndarray:
     labels = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -315,57 +314,32 @@ def _read_labels_lines(path: str) -> np.ndarray:
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
-def _fast_lines(path: str) -> list[bytes] | None:
-    """The file's lines, or None if it holds a byte outside ``_FAST_BYTES``."""
+def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """One ``np.loadtxt`` conversion, or the line parser wherever NumPy
+    might read the file differently or the file holds an error.
+
+    Only inputs on which ``np.loadtxt`` cannot warn reach it, so no warning
+    filter is needed: the first line holds a comma, so the input is not
+    empty, and no label holds ``.``, ``e`` or ``E``, which older NumPy
+    reads as an integer via a float with a DeprecationWarning.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.translate(None, _FAST_BYTES):
-        return None
-    return raw.splitlines()
-
-
-def _loadtxt(lines: list[bytes] | None, dtype, delimiter: str | None, ndmin: int):
-    """All lines in one ``np.loadtxt`` conversion, or None when the line
-    parser has to read them: NumPy rejects them, warns or finds no rows."""
-    if lines is None:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = np.loadtxt(lines, dtype=dtype, delimiter=delimiter,
-                             comments=None, ndmin=ndmin)
-    except (ValueError, Warning):
-        return None
-    return out if out.size else None
-
-
-def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = _fast_lines(path)
+    lines = [] if raw.translate(None, _FAST_BYTES) else raw.splitlines()
     width = lines[0].count(b",") + 1 if lines else 0
-    rows = None
-    if width >= 2:
-        # width - 1 float features plus one int64 label, as the first line has
-        dtype = [("f", float, (width - 1,)), ("y", np.int64)]
-        rows = _loadtxt(lines, dtype, ",", ndmin=1)
-    if rows is None or not np.isfinite(rows["f"]).all():
+    labels = (line[line.rfind(b",") + 1:] for line in lines)
+    if width < 2 or any(b"." in y or b"e" in y or b"E" in y for y in labels):
+        return _read_dense_lines(path)
+    # width - 1 float features plus one int64 label, as the first line has
+    dtype = [("f", float, (width - 1,)), ("y", np.int64)]
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return _read_dense_lines(path)
+    if not np.isfinite(rows["f"]).all():
         return _read_dense_lines(path)
     # transposed C order, the layout the line parser returns
     return np.array(rows["f"]).T, np.array(rows["y"])
-
-
-def _read_matrix(path: str) -> np.ndarray:
-    feats = _loadtxt(_fast_lines(path), float, None, ndmin=2)
-    if feats is None or not np.isfinite(feats).all():
-        return _read_matrix_lines(path)
-    return feats
-
-
-def _read_labels(path: str) -> np.ndarray:
-    # a comma splits a line into columns for NumPy but not for int()
-    labels = _loadtxt(_fast_lines(path), np.int64, ",", ndmin=2)
-    if labels is None or labels.shape[1] != 1:
-        return _read_labels_lines(path)
-    return labels[:, 0]
 
 
 def load_labeled_matrix(

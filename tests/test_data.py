@@ -282,10 +282,6 @@ def _same_arrays(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def _same_array(got, want):
-    _same_arrays((got,), (want,))
-
-
 def _same_matrix(got: LabeledMatrix, want: LabeledMatrix):
     _same_arrays((got.features, got.labels, got.label_values),
                  (want.features, want.labels, want.label_values))
@@ -305,10 +301,9 @@ def _agree(fast, oracle, same, path):
         same(fast(path), want)
 
 
-# The line parsers, the oracle; bound here so that the spy below never
+# The line parser, the oracle; bound here so that the spy below never
 # counts the oracle's own calls.
-_DENSE_LINES, _MATRIX_LINES, _LABELS_LINES = (
-    dd._read_dense_lines, dd._read_matrix_lines, dd._read_labels_lines)
+_DENSE_LINES = dd._read_dense_lines
 
 
 def _check_dense(path):
@@ -320,16 +315,6 @@ def _check_dense(path):
         _agree(dd._read_dense, _DENSE_LINES, _same_arrays, path)
         _agree(load_labeled_matrix, lambda p: LabeledMatrix.from_arrays(*_DENSE_LINES(p)),
                _same_matrix, path)
-    assert caught == []
-
-
-def _check_pair(mat, lab):
-    """The same for a matrix file and a labels file."""
-    mat, lab = str(mat), str(lab)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _agree(dd._read_matrix, _MATRIX_LINES, _same_array, mat)
-        _agree(dd._read_labels, _LABELS_LINES, _same_array, lab)
     assert caught == []
 
 
@@ -381,19 +366,6 @@ def _dense_file(draw):
     return _render(draw, _mutate(draw, rows), ",")
 
 
-@st.composite
-def _pair_files(draw):
-    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    matrix = [[draw(_NUMBER) for _ in range(n)] for _ in range(d)]
-    labels = [[draw(_LABEL)] for _ in range(n)]
-    if draw(st.booleans()):
-        matrix = _mutate(draw, matrix)
-    else:
-        labels = _mutate(draw, labels)
-    sep = draw(st.sampled_from([" ", "\t", "  "]))
-    return _render(draw, matrix, sep), _render(draw, labels, "")
-
-
 @settings(max_examples=300, deadline=None)
 @given(text=_dense_file())
 def test_dense_parse_matches_line_parser(tmp_path_factory, text):
@@ -402,38 +374,27 @@ def test_dense_parse_matches_line_parser(tmp_path_factory, text):
     _check_dense(path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(files=_pair_files())
-def test_pair_parse_matches_line_parser(tmp_path_factory, files):
-    root = tmp_path_factory.mktemp("pair")
-    mat, lab = root / "x.txt", root / "y.txt"
-    mat.write_bytes(files[0])
-    lab.write_bytes(files[1])
-    _check_pair(mat, lab)
-
-
 @pytest.fixture
 def line_parser_calls(monkeypatch):
-    """Count the calls that reach the line parsers."""
+    """Count the calls that reach the dense line parser."""
     calls = []
-    for name in ("_read_dense_lines", "_read_matrix_lines", "_read_labels_lines"):
-        def spy(path, _real=getattr(dd, name), _name=name):
-            calls.append(_name)
-            return _real(path)
-        monkeypatch.setattr(dd, name, spy)
+
+    def spy(path):
+        calls.append("_read_dense_lines")
+        return _DENSE_LINES(path)
+
+    monkeypatch.setattr(dd, "_read_dense_lines", spy)
     return calls
 
 
 class TestFastParse:
     def test_written_files_need_no_line_parser(self, tmp_path, line_parser_calls):
         data = make_synthetic_clusters(3, 4, 5, 3.0, seed=7)
-        dense, mat, lab = tmp_path / "d.csv", tmp_path / "x.txt", tmp_path / "y.txt"
-        save_labeled_matrix(data, str(dense))
-        save_labeled_matrix(data, str(mat), format="pair", labels_path=str(lab))
-        for back in (load_labeled_matrix(str(dense)),
-                     load_labeled_matrix(str(mat), format="pair", labels_path=str(lab))):
-            assert back.features.tobytes() == data.features.tobytes()
-            assert np.array_equal(back.original_labels, data.original_labels)
+        path = tmp_path / "d.csv"
+        save_labeled_matrix(data, str(path))
+        back = load_labeled_matrix(str(path))
+        assert back.features.tobytes() == data.features.tobytes()
+        assert np.array_equal(back.original_labels, data.original_labels)
         assert line_parser_calls == []
 
     def test_dense_features_keep_the_transposed_layout(self, tmp_path, line_parser_calls):
@@ -457,6 +418,7 @@ class TestFastParse:
         "\n",
         "5\n3\n",                                     # label-only rows
         "1.0,2.0,3.0\n",                              # float label
+        "1.0,2.0,1\n1.0,2.0,1e3\n",                   # older NumPy reads it as 1000
         "1.0,3\x1c\n",                                # NumPy skips \x1c, int() does not
         "1.0,3\U0009c6ca\n",                          # NumPy reads it as digits
         "\n1.0,2.0,1\n",                              # the first line is blank
@@ -467,22 +429,14 @@ class TestFastParse:
         _check_dense(path)
         assert line_parser_calls == ["_read_dense_lines"] * 2
 
-    @pytest.mark.parametrize("matrix, labels, fast", [
-        ("1.0 2.0\n", "0\n1\n", True),                # one row
-        ("1.0\n2.0\n", "0\n", True),                   # one column
-        ("1.0\t 2.0\n 3.0 4.0 \n", "0\r\n1\r\n", True),
-        ("1.0 2.0\n", "0,1\n", False),                 # one line, two labels
-        ("1.0 1_0\n", " \n", False),
-        ("1.0\xa02.0\n", "\u0661\n", False),
-        ("\n \n", "\t\n", False),                     # NumPy's empty-input warning
-    ])
-    def test_pair_fast_and_fallback_cases(self, tmp_path, line_parser_calls, matrix, labels,
-                                          fast):
-        mat, lab = tmp_path / "x.txt", tmp_path / "y.txt"
-        mat.write_bytes(matrix.encode())
-        lab.write_bytes(labels.encode())
-        _check_pair(mat, lab)
-        assert (line_parser_calls == []) == fast
+    @pytest.mark.parametrize("label", ["3.0", "1e3", "2E0"])
+    def test_float_labels_never_reach_numpy(self, tmp_path, monkeypatch, label):
+        # older NumPy reads such a label as an integer, with only a warning
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("loadtxt called"))
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,1\n1.0,2.0,{label}\n")
+        with pytest.raises(ValueError, match=f"2: label '{label}' is not an integer"):
+            load_labeled_matrix(str(path))
 
 
 def test_save_writes_shortest_reprs(tmp_path):
