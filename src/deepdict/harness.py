@@ -11,6 +11,8 @@ in worker processes; report assembly stays serialized and ordered.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import itertools
 import math
 import os
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from .baseline import TrainConfig, code_test_ddl, train_ddl
 from .classify import KnnConfig, code_layers, code_test_ddlic, evaluate_accuracy
@@ -285,8 +288,31 @@ def _run_replicate(cfg: ExperimentConfig, data: LabeledMatrix, r: int) -> Replic
             train_seconds=0.0,
             total_seconds=time.perf_counter() - started,
             failed=True,
-            error=str(exc),
+            error=f"{type(exc).__name__}: {exc}",
         )
+
+
+# NumPy and SciPy each load their own OpenBLAS copy, with its own thread count.
+_OPENBLAS_THREAD_SETTERS = (
+    (np, "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: limit both OpenBLAS copies to one thread.
+
+    OpenBLAS starts one thread per core in every process, so parallel
+    workers would compete for the same cores. A worker whose library or
+    symbol is missing runs unchanged.
+    """
+    for package, symbol in _OPENBLAS_THREAD_SETTERS:
+        libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+            setter = getattr(ctypes.CDLL(path), symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
 
 
 def _run_replicates(cfg: ExperimentConfig, data: LabeledMatrix) -> list[ReplicateResult]:
@@ -294,7 +320,7 @@ def _run_replicates(cfg: ExperimentConfig, data: LabeledMatrix) -> list[Replicat
     if cfg.workers <= 1:
         results = [_run_replicate(cfg, data, r) for r in indices]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
             futures = [pool.submit(_run_replicate, cfg, data, r) for r in indices]
             results = [f.result() for f in futures]
     results.sort(key=lambda res: res.index)
@@ -415,7 +441,8 @@ def grid_search_alpha(
     ``grid_mode="shared"`` ties every layer to one grid value (default);
     ``grid_mode="full"`` evaluates the full per-layer Cartesian product.
     The best cell is the highest mean accuracy; ties keep the earliest cell
-    in grid order.
+    in grid order. Raises ``ValueError`` with the first replicate error when
+    every replicate of every cell failed.
     """
     if cfg.method != "ddlic":
         raise ValueError("alpha grid search applies to method 'ddlic'")
@@ -426,23 +453,18 @@ def grid_search_alpha(
         combos = [(a,) * depth for a in cfg.alpha_grid]
     else:
         combos = [tuple(c) for c in itertools.product(cfg.alpha_grid, repeat=depth)]
-    rows: list[GridRow] = []
-    for alphas in combos:
-        report = evaluate_experiment(replace(cfg, alphas=alphas, out_dir=None), data)
-        rows.append(
-            GridRow(
-                alphas=alphas,
-                mean_accuracy=report.mean_accuracy,
-                std_accuracy=report.std_accuracy,
-                n_failed=report.n_failed,
-            )
-        )
-    best = None
-    for row in rows:
-        score = -math.inf if math.isnan(row.mean_accuracy) else row.mean_accuracy
-        if best is None or score > best[0]:
-            best = (score, row)
-    return best[1].alphas, rows
+    reports = [
+        evaluate_experiment(replace(cfg, alphas=alphas, out_dir=None), data) for alphas in combos
+    ]
+    if all(report.n_failed == cfg.replicates for report in reports):
+        first = reports[0].replicates[0].error
+        raise ValueError(f"every grid cell failed; first replicate error: {first}")
+    rows = [
+        GridRow(report.alphas, report.mean_accuracy, report.std_accuracy, report.n_failed)
+        for report in reports
+    ]
+    best = max(rows, key=lambda row: np.nan_to_num(row.mean_accuracy, nan=-math.inf))
+    return best.alphas, rows
 
 
 def export_embeddings(model, train: LabeledMatrix, out_dir: str) -> list[str]:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .baseline import alternate_layer, train_stack
 from .data import LabeledMatrix
@@ -39,11 +38,6 @@ __all__ = [
     "train_layer",
     "train_ddlic",
 ]
-
-# Called directly: numpy.linalg.eigh costs twice the LAPACK work on the small
-# Gram matrices swept once per alternation.
-_SYEVD = scipy.linalg.get_lapack_funcs("syevd", dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class DdlicConfig:
@@ -205,25 +199,18 @@ def update_representations(
 
     Columns are visited class by class in index order, each update seeing
     the latest values of its class siblings, so the layer objective cannot
-    increase across the sweep. Returns a new code matrix; the input is not
-    modified.
+    increase across the sweep. Returns a new C-contiguous code matrix; the
+    input is not modified.
 
-    The sweep is evaluated in closed form rather than one solve per column.
-    A column with no class siblings (a singleton class, or ``alpha == 0``)
-    takes the plain ridge solve from ``gram_solver``, including its
-    pseudo-inverse fallback for a singular Gram matrix. In a class of size
-    ``n >= 2``, column ``j`` solves ``A z_j = c_j + 2*alpha*(S_j + R_j)`` with
-    ``A = D^T D + (2*alpha*(n-1) + eps) I`` (``eps`` is ``gram_solver``'s
-    ridge), ``c_j = D^T x_j``, ``S_j`` the sum of the class's already updated
+    In a class of size ``n``, column ``j`` solves
+    ``(D^T D + 2*alpha*(n-1) I) z_j = c_j + 2*alpha*(S_j + R_j)`` with
+    ``c_j = D^T x_j``, ``S_j`` the sum of the class's already updated
     columns before ``j`` and ``R_j`` the sum of its old columns after ``j``.
-    In the eigenbasis of ``D^T D``, ``A`` is diagonal with entries ``a``, and
-    the running sum follows ``S_{j+1} = mu*S_j + r_j/a`` elementwise, with
-    ``mu = 1 + 2*alpha/a`` and ``r_j = c_j + 2*alpha*R_j``. All classes of
-    one size run this recurrence at once as a cumulative sum; because
-    ``a >= 2*alpha*(n-1) > 0``, ``mu**(n-1) < e`` and that sum is stable.
-    The same bound keeps the eigenbasis solve accurate: it differs from a
-    per-column Cholesky solve by about ``1e-16 * |D^T D| / a``, which the
-    siblingless solve, bounded below only by ``eps``, could not promise.
+    Classes do not interact, so all classes of one size share one
+    ``gram_solver`` factor (with its ridge and pseudo-inverse fallback),
+    and the sweep solves position ``j`` of every such class in one call.
+    Without coupling (``alpha == 0``, or singleton classes) there is one
+    position, so a group's columns take one solve together.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -236,41 +223,26 @@ def update_representations(
         if not np.isfinite(array).all():
             raise ValueError(f"{name} must not contain infs or NaNs")
 
+    # Sample-row layout: row i of corr, old and out belongs to column i.
     gram = dictionary.T @ dictionary
-    corr = dictionary.T @ inputs
+    corr = inputs.T @ dictionary
+    old = codes.T
     out = np.empty_like(corr)
-    coupled, plain = [], []
+    if alpha == 0 and groups:
+        groups = [np.concatenate(groups, axis=None)[:, None]]
     for cols in groups:
-        (coupled if alpha > 0 and cols.shape[1] > 1 else plain).append(cols)
-    if plain:
-        flat = np.concatenate([cols.ravel() for cols in plain])
-        out[:, flat] = gram_solver(gram, policy)(corr[:, flat])
-    if not coupled:
-        return out
-
-    eigenvalues, basis, info = _SYEVD(gram, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"eigendecomposition of D^T D failed (syevd info {info})")
-    eigenvalues = np.maximum(eigenvalues, 0.0)  # D^T D is positive semi-definite
-    corr_e = basis.T @ corr
-    codes_e = basis.T @ codes
-    mean_diag = float(np.trace(gram)) / gram.shape[0]
-    for cols in coupled:
         n_c = cols.shape[1]
-        shift = 2.0 * alpha * (n_c - 1)
-        eps = policy.epsilon_scale * (mean_diag + shift)  # gram_solver's ridge for gram + shift*I
-        inv = 1.0 / (eigenvalues + (shift + eps))
-        old = codes_e[:, cols]  # (atoms, classes, n_c)
-        after = np.zeros_like(old)
-        after[:, :, :-1] = np.cumsum(old[:, :, :0:-1], axis=2)[:, :, ::-1]
-        # new_j = inv * (r_j + 2*alpha*S_j), with S_j summing new_0 .. new_{j-1}
-        new = inv[:, None, None] * (corr_e[:, cols] + 2.0 * alpha * after)
-        growth = (2.0 * alpha * inv)[:, None, None]
-        powers = (1.0 + growth) ** np.arange(n_c - 1)
-        running = powers * np.cumsum(new[:, :, :-1] / powers, axis=2)
-        new[:, :, 1:] += growth * running
-        out[:, cols] = (basis @ new.reshape(basis.shape[0], -1)).reshape(new.shape)
-    return out
+        solve = gram_solver(gram + 2.0 * alpha * (n_c - 1) * np.eye(gram.shape[0]), policy)
+        by_position = cols.T  # row j: column j of every class in the group
+        rhs = corr[by_position]  # (n_c, classes, atoms)
+        after = old[by_position[:0:-1]].cumsum(axis=0)[::-1]  # R_0 .. R_{n_c-2}
+        rhs[:-1] += 2.0 * alpha * after
+        before = np.zeros_like(rhs[0])  # S_j
+        for j in range(n_c):
+            rhs[j] = solve((rhs[j] + 2.0 * alpha * before).T).T
+            before += rhs[j]
+        out[by_position] = rhs
+    return np.ascontiguousarray(out.T)
 
 
 def train_layer(

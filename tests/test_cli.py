@@ -141,6 +141,22 @@ def test_grid_reports_best_cell(tmp_path, dataset, capsys):
     assert len(grid_lines) == 3
 
 
+def test_grid_fails_when_every_cell_fails(dataset, capsys):
+    # 10 samples per class leave no test remainder after h = 20
+    rc = main(
+        [
+            "grid", "--data", str(dataset), "--layer-sizes", "8,6", "--h", "20",
+            "--replicates", "2", "--alpha-grid", "0.001,0.01",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "best_alphas" not in captured.out
+    assert captured.err.startswith("error: every grid cell failed; first replicate error: ")
+    assert "ValueError: class 0 has 10 samples; cannot reserve 20" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_export_writes_embeddings(tmp_path, dataset):
     model_dir = tmp_path / "model"
     main(

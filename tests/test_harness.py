@@ -1,10 +1,16 @@
 """Experiment runner: replicates, aggregation, grids, diagnostics, configs."""
 
+import ctypes
+import glob
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 import pytest
+import scipy
+
+from deepdict import harness
 
 from deepdict.classify import KnnConfig
 from deepdict.data import make_synthetic_clusters
@@ -26,6 +32,34 @@ from deepdict.harness import (
 from deepdict.baseline import TrainConfig, train_ddl
 from deepdict.intraclass import DdlicConfig, train_ddlic
 from deepdict.data import SplitSpec, split_per_class
+
+# NumPy's and SciPy's OpenBLAS copies: (package, thread-count symbol pattern).
+OPENBLAS = (
+    (np, "scipy_openblas_{}_num_threads64_"),
+    (scipy, "scipy_openblas_{}_num_threads"),
+)
+
+
+def _openblas_calls(verb):
+    """The ``set`` or ``get`` thread-count function of each OpenBLAS copy."""
+    calls = []
+    for package, symbol in OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        paths = glob.glob(os.path.join(site, f"{package.__name__}.libs", "libscipy_openblas*.so"))
+        if not paths:
+            pytest.skip(f"{package.__name__} does not ship its own OpenBLAS")
+        call = getattr(ctypes.CDLL(paths[0]), symbol.format(verb))
+        call.argtypes = [ctypes.c_int] if verb == "set" else []
+        call.restype = None if verb == "set" else ctypes.c_int
+        calls.append(call)
+    return calls
+
+
+WorkerThreads = namedtuple("WorkerThreads", "index counts")
+
+
+def _report_blas_threads(cfg, data, r):
+    return WorkerThreads(r, tuple(get() for get in _openblas_calls("get")))
 
 
 def small_config(**overrides):
@@ -119,6 +153,37 @@ class TestEvaluateExperiment:
         assert math.isnan(report.mean_accuracy)
         assert report.scatter_names == ()
 
+    def test_failed_replicate_error_names_the_exception_type(self, tmp_path):
+        out = tmp_path / "exp"
+        run_experiment(small_config(train_per_class=8, replicates=2, out_dir=str(out)))
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert all(",ValueError: class 0 has 8 samples; cannot reserve" in row for row in rows)
+        summary = (out / "summary.txt").read_text()
+        assert summary.count("failed: ValueError: class 0 has 8 samples") == 2
+
+    def test_workers_run_with_one_blas_thread(self, monkeypatch):
+        sets, gets = _openblas_calls("set"), _openblas_calls("get")
+        saved = [get() for get in gets]
+        monkeypatch.setattr(harness, "_run_replicate", _report_blas_threads)
+        try:
+            for set_threads in sets:
+                set_threads(2)
+            results = harness._run_replicates(small_config(workers=2, replicates=4), None)
+            assert [res.counts for res in results] == [(1, 1)] * 4
+            assert [get() for get in gets] == [2, 2]  # the parent keeps its setting
+        finally:
+            for set_threads, count in zip(sets, saved):
+                set_threads(count)
+
+    def test_blas_thread_limit_skips_missing_library_or_symbol(self, monkeypatch):
+        gets = _openblas_calls("get")
+        before = [get() for get in gets]
+        monkeypatch.setattr(
+            harness, "_OPENBLAS_THREAD_SETTERS", ((np, "no_such_symbol"), (pytest, "x"))
+        )
+        harness._one_blas_thread()
+        assert [get() for get in gets] == before
+
     def test_requires_train_count(self):
         with pytest.raises(ValueError, match="train_per_class"):
             evaluate_experiment(small_config(train_per_class=None))
@@ -185,6 +250,15 @@ class TestGridSearch:
         top = max(row.mean_accuracy for row in rows)
         first = next(row for row in rows if row.mean_accuracy == top)
         assert best == first.alphas
+
+    def test_every_cell_failing_raises_the_first_replicate_error(self):
+        # h equal to the class size leaves no test remainder: every split fails
+        cfg = small_config(train_per_class=8, replicates=2)
+        with pytest.raises(
+            ValueError,
+            match="every grid cell failed; first replicate error: ValueError: class 0 has 8",
+        ):
+            grid_search_alpha(cfg)
 
     def test_requires_label_aware_method(self):
         with pytest.raises(ValueError, match="ddlic"):

@@ -18,6 +18,7 @@ from deepdict.intraclass import (
     update_representations,
 )
 from deepdict.baseline import train_dense_layer
+from deepdict.harness import DEFAULT_ALPHA_GRID
 from deepdict.kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
@@ -232,6 +233,36 @@ class TestClosedFormUpdates:
         got = update_representations(dictionary, inputs, codes, alpha, class_index, policy)
         want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index, policy)
         assert _relative_error(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHA_GRID)
+    def test_sweep_matches_reference_at_grid_parallel_shape(self, alpha):
+        # the first layer of the grid-parallel benchmark workload: 10 classes
+        # of 30 columns, 128 atoms on 200-dimensional inputs
+        inputs, dictionary, codes, class_index = _instance(
+            20, d=200, k=128, counts=(30,) * 10
+        )
+        got = update_representations(dictionary, inputs, codes, alpha, class_index)
+        want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index)
+        assert _relative_error(got, want) <= 1e-10
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_sweep_matches_reference_with_two_sizes_of_several_classes(self, alpha):
+        inputs, dictionary, codes, _ = _instance(21, d=12, k=7, counts=(4, 6, 4, 6, 6, 4, 4))
+        order = RNG(22).permutation(34)
+        bounds = np.cumsum((4, 6, 4, 6, 6, 4, 4))[:-1]
+        class_index = tuple(np.split(order, bounds))
+        got = update_representations(dictionary, inputs, codes, alpha, class_index)
+        want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index)
+        assert _relative_error(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_sweep_returns_c_contiguous_codes(self, alpha):
+        # NumPy reduces axis 0 of an F-ordered array in another order, so
+        # F-ordered codes would round column norms and scatter differently
+        inputs, dictionary, codes, class_index = _instance(23, counts=(1, 4, 3, 4))
+        got = update_representations(dictionary, inputs, codes, alpha, class_index)
+        assert got.flags.c_contiguous
 
     def test_sweep_rejects_non_finite_input(self):
         inputs, dictionary, codes, class_index = _instance(18)
