@@ -11,7 +11,6 @@ import pytest
 import scipy
 
 from deepdict import harness
-
 from deepdict.classify import KnnConfig
 from deepdict.data import make_synthetic_clusters
 from deepdict.harness import (
@@ -157,6 +156,7 @@ class TestEvaluateExperiment:
         out = tmp_path / "exp"
         run_experiment(small_config(train_per_class=8, replicates=2, out_dir=str(out)))
         rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
         assert all(",ValueError: class 0 has 8 samples; cannot reserve" in row for row in rows)
         summary = (out / "summary.txt").read_text()
         assert summary.count("failed: ValueError: class 0 has 8 samples") == 2
