@@ -83,10 +83,6 @@ class DdlModel:
         check_trained_stack(self.config, self.dictionaries, codes, self.traces, self.labels)
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return self.config.layer_sizes
-
-    @property
     def l1_weight(self) -> float:
         return self.config.l1_weight
 
@@ -98,7 +94,6 @@ def alternate_layer(
     code_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     objective: Callable[[np.ndarray, np.ndarray], float],
     policy: RidgePolicy = DEFAULT_RIDGE,
-    stop_rel_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The alternating loop every layer of either stack trains with.
 
@@ -106,10 +101,8 @@ def alternate_layer(
     iteration refreshes the dictionary exactly for the current codes, then
     replaces the codes by ``code_step(dictionary, codes)`` and records
     ``objective(dictionary, codes)``; when both steps minimize that
-    objective, the trace is non-increasing. ``stop_rel_tol`` optionally ends
-    the loop once the relative change of the objective falls below it (the
-    trace is then shorter than ``n_iters``). Returns (dictionary, codes,
-    trace).
+    objective, the trace is non-increasing. Returns (dictionary, codes,
+    trace), the trace holding one value per iteration.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
@@ -118,14 +111,10 @@ def alternate_layer(
     codes = ridge_code(init_dict, inputs, policy)
     dictionary = init_dict
     values: list[float] = []
-    for it in range(n_iters):
+    for _ in range(n_iters):
         dictionary = solve_least_squares_dictionary(inputs, codes, policy)
         codes = code_step(dictionary, codes)
         values.append(objective(dictionary, codes))
-        if stop_rel_tol is not None and it > 0:
-            prev, last = values[-2], values[-1]
-            if abs(prev - last) <= stop_rel_tol * max(1.0, abs(prev)):
-                break
     return dictionary, codes, np.asarray(values)
 
 
@@ -222,21 +211,16 @@ def product_dictionary(dictionaries: list[np.ndarray]) -> np.ndarray:
     return product
 
 
-def code_test_ddl(
-    model: DdlModel,
-    test_features: np.ndarray,
-    ista_cfg: IstaConfig | None = None,
-) -> np.ndarray:
+def code_test_ddl(model: DdlModel, test_features: np.ndarray) -> np.ndarray:
     """Sparse codes of test samples against the stack's product dictionary.
 
-    Solves one penalized least-squares problem per test column using the
-    model's training L1 weight. An empty test matrix yields an empty code
-    matrix.
+    Solves one penalized least-squares problem per test column with the
+    model's training L1 weight and ISTA settings. An empty test matrix
+    yields an empty code matrix.
     """
     product = product_dictionary(model.dictionaries)
     if test_features.shape[0] != product.shape[0]:
         raise ValueError(
             f"test features have {test_features.shape[0]} rows, expected {product.shape[0]}"
         )
-    cfg = ista_cfg if ista_cfg is not None else model.config.ista
-    return ista_sparse_code(product, test_features, model.l1_weight, cfg)
+    return ista_sparse_code(product, test_features, model.l1_weight, model.config.ista)

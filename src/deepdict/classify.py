@@ -89,19 +89,14 @@ def code_layers(
     return out
 
 
-def code_test_ddlic(
-    model: "DdlicModel",
-    test_features: np.ndarray,
-    policy: RidgePolicy | None = None,
-) -> np.ndarray:
+def code_test_ddlic(model: "DdlicModel", test_features: np.ndarray) -> np.ndarray:
     """Final-layer codes of test samples, coded layer by layer.
 
-    Test coding solves one dense least-squares problem per layer; the
-    intra-class penalty applies only during training, never at test time.
+    Test coding solves one dense least-squares problem per layer with the
+    model's ridge policy; the intra-class penalty applies only during
+    training, never at test time.
     """
-    if policy is None:
-        policy = getattr(model.config, "ridge", DEFAULT_RIDGE)
-    return code_layers(model.dictionaries, test_features, policy)[-1]
+    return code_layers(model.dictionaries, test_features, model.config.ridge)[-1]
 
 
 def _pairwise_euclidean(train_codes: np.ndarray, test_codes: np.ndarray) -> np.ndarray:

@@ -236,18 +236,17 @@ def _parse_label(field: str, path: str, lineno: int) -> int:
     return value
 
 
-def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
-    # One sample per row: comma-separated features, trailing integer label.
+def _read_lines(path: str, split, parse_row, empty: str, min_fields: int = 1) -> list:
+    # parse_row(fields, path, lineno) of each non-blank line, all as wide as the first
     rows = []
-    labels = []
     width = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) < 2:
+            fields = split(line)
+            if len(fields) < min_fields:
                 raise ValueError(
                     f"{path}:{lineno}: expected at least one feature plus a label"
                 )
@@ -257,51 +256,39 @@ def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise ValueError(
                     f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
                 )
-            rows.append([
-                _parse_float(f, path, lineno, col)
-                for col, f in enumerate(fields[:-1], start=1)
-            ])
-            labels.append(_parse_label(fields[-1], path, lineno))
+            rows.append(parse_row(fields, path, lineno))
     if not rows:
-        raise ValueError(f"{path}: no samples")
-    return np.array(rows, dtype=float).T, np.array(labels, dtype=np.int64)
+        raise ValueError(f"{path}: {empty}")
+    return rows
+
+
+def _parse_floats(fields: list[str], path: str, lineno: int) -> list[float]:
+    return [_parse_float(f, path, lineno, col) for col, f in enumerate(fields, start=1)]
+
+
+def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
+    # One sample per row: comma-separated features, trailing integer label.
+    rows = _read_lines(
+        path, lambda line: line.split(","),
+        lambda fields, path, lineno: (
+            _parse_floats(fields[:-1], path, lineno), _parse_label(fields[-1], path, lineno)
+        ),
+        "no samples", min_fields=2,
+    )
+    features, labels = zip(*rows)
+    return np.array(features, dtype=float).T, np.array(labels, dtype=np.int64)
 
 
 def _read_matrix(path: str) -> np.ndarray:
     # Whitespace-separated matrix: rows are features, columns are samples.
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(fields)}"
-                )
-            rows.append([
-                _parse_float(f, path, lineno, col)
-                for col, f in enumerate(fields, start=1)
-            ])
-    if not rows:
-        raise ValueError(f"{path}: empty matrix")
-    return np.array(rows, dtype=float)
+    return np.array(_read_lines(path, str.split, _parse_floats, "empty matrix"), dtype=float)
 
 
 def _read_labels(path: str) -> np.ndarray:
-    labels = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            labels.append(_parse_label(line, path, lineno))
-    if not labels:
-        raise ValueError(f"{path}: no labels")
+    labels = _read_lines(
+        path, lambda line: [line],
+        lambda fields, path, lineno: _parse_label(fields[0], path, lineno), "no labels",
+    )
     return np.array(labels, dtype=np.int64)
 
 

@@ -44,10 +44,8 @@ class DdlicConfig:
     """Settings for the intra-class-constrained stack.
 
     ``alphas`` holds one non-negative compactness weight per layer and must
-    have the same length as ``layer_sizes`` (= ``depth``). ``stop_rel_tol``
-    optionally stops a layer early once the relative objective change falls
-    below it; by default it is off, so every layer runs exactly
-    ``iters_per_layer`` iterations.
+    have the same length as ``layer_sizes`` (= ``depth``). Every layer runs
+    exactly ``iters_per_layer`` iterations.
     """
 
     depth: int = 3
@@ -57,7 +55,6 @@ class DdlicConfig:
     seed: int = 0
     init: str = "qr"
     ridge: RidgePolicy = DEFAULT_RIDGE
-    stop_rel_tol: float | None = None
 
     def __post_init__(self) -> None:
         check_stack_settings(self)
@@ -65,8 +62,6 @@ class DdlicConfig:
             raise ValueError("alphas length must equal depth")
         if not all(0 <= a < math.inf for a in self.alphas):
             raise ValueError("alphas must be finite and >= 0")
-        if self.stop_rel_tol is not None and not 0 < self.stop_rel_tol < math.inf:
-            raise ValueError("stop_rel_tol must be finite and > 0 when given")
 
 
 @dataclass
@@ -88,14 +83,6 @@ class DdlicModel:
     def train_repr(self) -> np.ndarray:
         """Final-layer training codes."""
         return self.layer_reprs[-1]
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return self.config.layer_sizes
-
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return self.config.alphas
 
 
 def _class_groups(class_index, n_columns: int) -> list[np.ndarray]:
@@ -253,14 +240,12 @@ def train_layer(
     class_index,
     init_dict: np.ndarray,
     policy: RidgePolicy = DEFAULT_RIDGE,
-    stop_rel_tol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternate dictionary and code updates for one layer.
 
     Runs ``baseline.alternate_layer`` with one full code sweep as the code
-    step, so the returned trace holds the layer objective after each
-    iteration and is non-increasing. ``stop_rel_tol`` optionally ends the
-    loop early (the trace is then shorter than ``n_iters``).
+    step, so the returned trace holds the layer objective after each of the
+    ``n_iters`` iterations and is non-increasing.
     """
     if init_dict.shape != (inputs.shape[0], n_atoms):
         raise ValueError(
@@ -272,7 +257,7 @@ def train_layer(
             dictionary, inputs, codes, alpha, class_index, policy
         ),
         lambda dictionary, codes: layer_objective(inputs, dictionary, codes, alpha, class_index),
-        policy, stop_rel_tol,
+        policy,
     )
 
 
@@ -282,7 +267,7 @@ def train_ddlic(train: LabeledMatrix, cfg: DdlicConfig = DdlicConfig()) -> Ddlic
     def train_one(layer, inputs, init):
         return train_layer(
             inputs, cfg.alphas[layer - 1], init.shape[1], cfg.iters_per_layer,
-            train.class_index, init, cfg.ridge, cfg.stop_rel_tol,
+            train.class_index, init, cfg.ridge,
         )
 
     dictionaries, layer_reprs, traces = train_stack(train.features, cfg, train_one)

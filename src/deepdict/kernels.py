@@ -284,8 +284,8 @@ class IstaConfig:
             raise ValueError("step must be finite and > 0 when given")
 
 
-def gram_spectral_norm(gram: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, by power iteration."""
+def gram_spectral_norm(gram: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix: at most 50 power iterations, to 1e-8."""
     k = gram.shape[0]
     v = np.random.default_rng(0).standard_normal(k)
     nv = np.linalg.norm(v)
@@ -293,14 +293,14 @@ def gram_spectral_norm(gram: np.ndarray, iters: int = 50, tol: float = 1e-8) -> 
         return 0.0
     v /= nv
     estimate = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = gram @ v
         new_estimate = float(v @ w)
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v = w / nw
-        if abs(new_estimate - estimate) <= tol * abs(new_estimate):
+        if abs(new_estimate - estimate) <= 1e-8 * abs(new_estimate):
             return max(new_estimate, 0.0)
         estimate = new_estimate
     return max(estimate, 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,8 +28,18 @@ def _write_matrix(path: str, matrix: np.ndarray) -> None:
     np.savetxt(path, matrix, fmt=_MATRIX_FMT)
 
 
+@contextmanager
+def _naming(path: str):
+    # NumPy's and json's parse errors do not say which file they are about
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, ndmin=2)
+    with _naming(path):
+        return np.loadtxt(path, ndmin=2)
 
 
 def save_model(model, out_dir: str) -> None:
@@ -39,11 +50,7 @@ def save_model(model, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(model, DdlicModel):
         cfg = model.config
-        meta = {
-            "kind": "ddlic",
-            "alphas": [float(a) for a in cfg.alphas],
-            "stop_rel_tol": cfg.stop_rel_tol,
-        }
+        meta = {"kind": "ddlic", "alphas": [float(a) for a in cfg.alphas]}
         for i, codes in enumerate(model.layer_reprs, start=1):
             _write_matrix(os.path.join(out_dir, f"layer_repr_{i:02d}.txt"), codes)
     else:
@@ -79,7 +86,7 @@ def load_model(model_dir: str):
     meta_path = os.path.join(model_dir, "metadata.json")
     if not os.path.isfile(meta_path):
         raise FileNotFoundError(f"{model_dir}: no metadata.json; not a model directory")
-    with open(meta_path) as fh:
+    with open(meta_path) as fh, _naming(meta_path):
         meta = json.load(fh)
 
     def field(key: str):
@@ -95,7 +102,8 @@ def load_model(model_dir: str):
     labels_path = os.path.join(model_dir, "train_labels.txt")
     labels = None
     if os.path.isfile(labels_path):
-        labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
+        with _naming(labels_path):
+            labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
     traces = [np.asarray(t, dtype=float) for t in field("traces")]
     shared = dict(
         depth=depth,
@@ -108,11 +116,7 @@ def load_model(model_dir: str):
 
     kind = field("kind")
     if kind == "ddlic":
-        cfg = DdlicConfig(
-            alphas=tuple(float(a) for a in field("alphas")),
-            stop_rel_tol=field("stop_rel_tol"),
-            **shared,
-        )
+        cfg = DdlicConfig(alphas=tuple(float(a) for a in field("alphas")), **shared)
         layer_reprs = [
             _read_matrix(os.path.join(model_dir, f"layer_repr_{i:02d}.txt"))
             for i in range(1, depth + 1)

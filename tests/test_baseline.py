@@ -1,5 +1,7 @@
 """The plain layer-wise trainer: dense layers, sparse top layer, test coding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -206,8 +208,9 @@ class TestTestCoding:
         feats = rng.normal(size=(10, 30))
         cfg = TrainConfig(depth=2, layer_sizes=(7, 5), iters_per_layer=5, seed=2)
         model = train_ddl(feats, cfg)
+        model = replace(model, config=replace(cfg, ista=IstaConfig(max_iters=6000, rel_tol=1e-13)))
         test = rng.normal(size=(10, 12))
-        codes = code_test_ddl(model, test, IstaConfig(max_iters=6000, rel_tol=1e-13))
+        codes = code_test_ddl(model, test)
         # one more proximal step barely moves the result
         prod = product_dictionary(model.dictionaries)
         gram, corr = prod.T @ prod, prod.T @ test

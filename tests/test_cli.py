@@ -242,6 +242,25 @@ def test_eval_model_missing_metadata_key_names_it(tmp_path, dataset, capsys):
     assert "'traces'" in err and "metadata.json" in err and str(model_dir) in err
 
 
+@pytest.mark.parametrize("name", ["dictionary_01.txt", "train_labels.txt", "metadata.json"])
+def test_eval_unparsable_model_file_names_it(tmp_path, dataset, capsys, name):
+    model_dir = tmp_path / "model"
+    main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
+        ]
+    )
+    path = model_dir / name
+    path.write_text("abc\n" + path.read_text())
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsys):
     model_dir = tmp_path / "model"
     main(

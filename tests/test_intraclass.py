@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepdict.data import make_synthetic_clusters
 from deepdict.intraclass import (
@@ -65,18 +67,15 @@ def _sequential_sweep(dictionary, inputs, codes, alpha, class_index, policy=DEFA
     return out
 
 
-def _reference_train_layer(inputs, alpha, n_iters, class_index, init_dict, stop_rel_tol=None):
-    """Reference: the layer's own alternating loop with its early stop."""
+def _reference_train_layer(inputs, alpha, n_iters, class_index, init_dict):
+    """Reference: the layer's own alternating loop."""
     codes = ridge_code(init_dict, inputs)
     dictionary = init_dict
     values = []
-    for it in range(n_iters):
+    for _ in range(n_iters):
         dictionary = update_dictionary(inputs, codes)
         codes = update_representations(dictionary, inputs, codes, alpha, class_index)
         values.append(layer_objective(inputs, dictionary, codes, alpha, class_index))
-        if stop_rel_tol is not None and it > 0:
-            if abs(values[-2] - values[-1]) <= stop_rel_tol * max(1.0, abs(values[-2])):
-                break
     return dictionary, codes, np.asarray(values)
 
 
@@ -85,6 +84,25 @@ def _relative_error(got, want):
 
 
 SWEEP_ALPHAS = (0.0, 1e-4, 1e-2, 0.1, 0.3, 3.0)
+
+
+@st.composite
+def _partitioned_instances(draw):
+    """Singleton classes mixed with several classes of one size, columns shuffled.
+
+    The atom count reaches past the column count, as in a layer wider than
+    its sample count, and past the input dimension.
+    """
+    counts = [1] * draw(st.integers(0, 4)) + [draw(st.integers(2, 6))] * draw(st.integers(2, 4))
+    n = sum(counts)
+    k = draw(st.integers(1, n + 4))
+    d = draw(st.integers(2, 12))
+    alpha = draw(st.sampled_from([0.0, 1e-4, 3.0]))
+    rng = RNG(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.permutation(counts)
+    class_index = tuple(np.split(rng.permutation(n), np.cumsum(counts)[:-1]))
+    arrays = rng.normal(size=(d, k)), rng.normal(size=(d, n)), rng.normal(size=(k, n))
+    return (*arrays, alpha, class_index)
 
 
 class TestPenaltyAndObjective:
@@ -256,6 +274,14 @@ class TestClosedFormUpdates:
         want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index)
         assert _relative_error(got, want) <= 1e-10
 
+    @settings(max_examples=200, deadline=None)
+    @given(_partitioned_instances())
+    def test_sweep_matches_reference_on_random_partitions(self, instance):
+        dictionary, inputs, codes, alpha, class_index = instance
+        got = update_representations(dictionary, inputs, codes, alpha, class_index)
+        want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index)
+        assert _relative_error(got, want) <= 1e-10
+
     @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
     def test_sweep_returns_c_contiguous_codes(self, alpha):
         # NumPy reduces axis 0 of an F-ordered array in another order, so
@@ -324,29 +350,15 @@ class TestLayerTraining:
         assert np.max(np.abs(d_ic - d_plain)) < 1e-8
         assert np.max(np.abs(z_ic - z_plain)) < 1e-8
 
-    def test_early_stop_shortens_trace(self):
-        rng = RNG(12)
-        counts = (5, 5)
-        inputs = rng.normal(size=(6, 10))
-        init = random_dictionary_init(6, 3, seed=1)
-        _, _, full = train_layer(inputs, 0.01, 3, 60, _class_index(counts), init)
-        _, _, short = train_layer(
-            inputs, 0.01, 3, 60, _class_index(counts), init, stop_rel_tol=1e-3
-        )
-        assert len(short) < len(full)
-
-    @pytest.mark.parametrize("stop_rel_tol", [None, 1e-2, 1e-1])  # 1e-2, 1e-1 stop early
-    def test_matches_reference_loop(self, stop_rel_tol):
+    def test_matches_reference_loop(self):
         for seed in range(4):
             rng = RNG(200 + seed)
             counts = (4, 1, 5, 3)
             inputs = rng.normal(size=(8, sum(counts)))
             init = random_dictionary_init(8, 5, seed=seed)
             args = (inputs, 0.05, 5, 30, _class_index(counts), init)
-            got = train_layer(*args, stop_rel_tol=stop_rel_tol)
-            want = _reference_train_layer(
-                inputs, 0.05, 30, _class_index(counts), init, stop_rel_tol
-            )
+            got = train_layer(*args)
+            want = _reference_train_layer(inputs, 0.05, 30, _class_index(counts), init)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
@@ -370,17 +382,16 @@ class TestFullStack:
         assert model.labels.tolist() == data.original_labels.tolist()
         assert [len(t) for t in model.traces] == [4, 4, 4]
 
-    @pytest.mark.parametrize("stop_rel_tol", [None, 1e-2])  # 1e-2 stops layers 1 and 3 early
-    def test_stack_matches_reference_loop(self, stop_rel_tol):
+    def test_stack_matches_reference_loop(self):
         data = make_synthetic_clusters(3, 6, 10, 4.0, seed=4)
         cfg = DdlicConfig(depth=3, layer_sizes=(8, 6, 4), alphas=(0.0, 0.01, 0.1),
-                          iters_per_layer=15, seed=2, stop_rel_tol=stop_rel_tol)
+                          iters_per_layer=15, seed=2)
         model = train_ddlic(data, cfg)
         current = data.features
         for layer, (n_atoms, alpha) in enumerate(zip(cfg.layer_sizes, cfg.alphas), start=1):
             init = initial_dictionary(current, n_atoms, layer, cfg.init, cfg.seed)
             d, current, trace = _reference_train_layer(
-                current, alpha, cfg.iters_per_layer, data.class_index, init, stop_rel_tol
+                current, alpha, cfg.iters_per_layer, data.class_index, init
             )
             assert np.array_equal(model.dictionaries[layer - 1], d)
             assert np.array_equal(model.layer_reprs[layer - 1], current)

@@ -1,6 +1,7 @@
 """Model directory save/load round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from deepdict.model_io import load_model, save_model
 def test_ddlic_round_trip_is_exact(tmp_path):
     data = make_synthetic_clusters(3, 5, 8, 4.0, seed=1)
     cfg = DdlicConfig(depth=2, layer_sizes=(6, 4), alphas=(0.01, 0.02),
-                      iters_per_layer=3, seed=4, stop_rel_tol=1e-9)
+                      iters_per_layer=3, seed=4)
     model = train_ddlic(data, cfg)
     save_model(model, str(tmp_path / "m"))
     back = load_model(str(tmp_path / "m"))
@@ -26,7 +27,6 @@ def test_ddlic_round_trip_is_exact(tmp_path):
         assert np.array_equal(a, b)
     assert back.labels.tolist() == model.labels.tolist()
     assert back.config.alphas == cfg.alphas
-    assert back.config.stop_rel_tol == cfg.stop_rel_tol
     assert back.config.seed == cfg.seed
     for a, b in zip(model.traces, back.traces):
         assert np.allclose(a, b, rtol=0, atol=0)
@@ -91,6 +91,16 @@ def test_label_count_other_than_training_columns_rejected(tmp_path, n_labels):
         load_model(str(model_dir))
 
 
+def test_retired_metadata_key_ignored(tmp_path):
+    # metadata.json files of older versions hold "stop_rel_tol", which load_model ignores
+    model_dir = _saved_ddlic(tmp_path)
+    meta_path = model_dir / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["stop_rel_tol"] = None
+    meta_path.write_text(json.dumps(meta))
+    assert load_model(str(model_dir)).config.alphas == (0.01, 0.02)
+
+
 def test_missing_metadata_key_named(tmp_path):
     model_dir = _saved_ddlic(tmp_path)
     meta_path = model_dir / "metadata.json"
@@ -122,3 +132,20 @@ def test_save_refuses_model_changed_after_construction(tmp_path):
     with pytest.raises(ValueError, match="9 training labels for 12 training columns"):
         save_model(model, str(tmp_path / "m"))
     assert not (tmp_path / "m" / "metadata.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("dictionary_01.txt", lambda text: "1 2 3 abc\n" + text),
+        ("train_labels.txt", lambda text: "abc\n" + text),
+        ("metadata.json", lambda text: text[: len(text) // 2]),  # truncated
+    ],
+    ids=["dictionary", "labels", "metadata"],
+)
+def test_unparsable_file_named(tmp_path, name, corrupt):
+    model_dir = _saved_ddlic(tmp_path)
+    path = model_dir / name
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_model(str(model_dir))
