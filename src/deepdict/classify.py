@@ -100,12 +100,20 @@ def code_test_ddlic(model: "DdlicModel", test_features: np.ndarray) -> np.ndarra
 
 
 def _pairwise_euclidean(train_codes: np.ndarray, test_codes: np.ndarray) -> np.ndarray:
-    """(n_train, n_test) Euclidean distances between columns."""
+    """(n_test, n_train) Euclidean distances between columns, one row per test column.
+
+    Entry ``[j, i]`` is ``sqrt(max((|a_i|^2 + |b_j|^2) - 2 * (A^T B)[i, j], 0))``
+    from the product ``A^T B`` of the training codes ``A`` and the test
+    codes ``B``, evaluated in place in one C-ordered buffer.
+    """
     train_sq = np.sum(train_codes * train_codes, axis=0)
     test_sq = np.sum(test_codes * test_codes, axis=0)
-    d2 = train_sq[:, None] + test_sq[None, :] - 2.0 * (train_codes.T @ test_codes)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    cross = train_codes.T @ test_codes
+    cross *= 2.0
+    dist = np.add.outer(test_sq, train_sq)
+    dist -= cross.T
+    np.maximum(dist, 0.0, out=dist)
+    return np.sqrt(dist, out=dist)
 
 
 def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndarray) -> np.ndarray:
@@ -120,41 +128,44 @@ def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndar
     return labels
 
 
-def _nearest_rows(dist: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` rows (k <= row count) of each column's stable ``argsort``.
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` columns (k <= row length) of each row's stable ``argsort``.
 
-    Partitions out ``k`` rows per column and stable-sorts only those, in
-    index order, so equal distances rank by row index. The partition takes
-    an arbitrary subset of the rows tied at the k-th distance; a column where
-    it had a choice (more than ``k`` rows within that distance) is ranked in
-    full instead.
+    Partitions out ``k`` columns per row and stable-sorts only those, in
+    index order, so equal distances rank by column index. The partition
+    takes an arbitrary subset of the columns tied at the k-th distance; a
+    row where it had a choice (more than ``k`` columns within that
+    distance) is ranked in full instead.
     """
-    rows = np.argpartition(dist, k - 1, axis=0)[:k]
-    rows.sort(axis=0)
-    ranks = np.argsort(np.take_along_axis(dist, rows, axis=0), axis=0, kind="stable")
-    rows = np.take_along_axis(rows, ranks, axis=0)
-    kth = np.take_along_axis(dist, rows[-1:], axis=0)
-    choice = np.flatnonzero(np.count_nonzero(dist <= kth, axis=0) > k)
-    rows[:, choice] = np.argsort(dist[:, choice], axis=0, kind="stable")[:k]
-    return rows
+    cols = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    cols.sort(axis=1)
+    ranks = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    cols = np.take_along_axis(cols, ranks, axis=1)
+    kth = np.take_along_axis(dist, cols[:, -1:], axis=1)
+    choice = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
+    cols[choice] = np.argsort(dist[choice], axis=1, kind="stable")[:, :k]
+    return cols
 
 
 def _sweep_votes(dist: np.ndarray, train_labels: np.ndarray, ks: list[int]) -> np.ndarray:
-    """Winning label of every column's k nearest rows of ``dist``, one row per k in ``ks``.
+    """Winning label of every row's k nearest columns of ``dist``, one row per k in ``ks``.
 
     Each label's votes and distance sum accumulate rank by rank, nearest
     neighbor first; the winner has the most votes, then the smaller sum,
     then the smaller label.
     """
-    order = _nearest_rows(dist, max(ks))
+    nearest = _nearest(dist, max(ks))
     classes, class_ids = np.unique(train_labels, return_inverse=True)
-    cols = np.arange(dist.shape[1])
-    counts = np.zeros((dist.shape[1], classes.size), dtype=np.int64)
+    # rank-major copies: row r holds every test row's r-th neighbor
+    near_ids = np.ascontiguousarray(class_ids[nearest].T)
+    near_dist = np.ascontiguousarray(np.take_along_axis(dist, nearest, axis=1).T)
+    rows = np.arange(dist.shape[0])
+    counts = np.zeros((dist.shape[0], classes.size), dtype=np.int64)
     sums = np.zeros(counts.shape)
-    winners = np.empty((len(ks), dist.shape[1]), dtype=np.int64)
-    for rank, nearest in enumerate(order, start=1):
-        counts[cols, class_ids[nearest]] += 1
-        sums[cols, class_ids[nearest]] += dist[nearest, cols]
+    winners = np.empty((len(ks), dist.shape[0]), dtype=np.int64)
+    for rank, (ids, d) in enumerate(zip(near_ids, near_dist), start=1):
+        counts[rows, ids] += 1
+        sums[rows, ids] += d
         if rank in ks:
             # classes ascend, so argmin's first minimum is the smaller label
             top = counts == counts.max(axis=1, keepdims=True)

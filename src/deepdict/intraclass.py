@@ -20,9 +20,11 @@ from .data import LabeledMatrix
 from .kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
+    _require_finite,
+    _ridged_factor,
+    _solve_factored,
     check_stack_settings,
     check_trained_stack,
-    gram_solver,
     solve_least_squares_dictionary,
 )
 # Not called here: bench/bench_trace.py wraps ridge_code in every module
@@ -104,15 +106,15 @@ def _class_groups(class_index, n_columns: int) -> list[np.ndarray]:
 def compactness_penalty(codes: np.ndarray, class_index) -> float:
     """Sum over classes of squared distances between all ordered same-class pairs.
 
-    Every unordered pair is counted twice (once per order).
+    Every unordered pair is counted twice (once per order), so a class of
+    ``n`` columns with sum ``s`` adds ``2 * (n * sum of squared norms - |s|^2)``.
+    Classes of one size are summed together, as the code sweep groups them.
     """
     total = 0.0
-    for idx in class_index:
-        block = codes[:, idx]
-        n_c = block.shape[1]
-        sq = float(np.sum(block * block))
-        s = block.sum(axis=1)
-        total += 2.0 * (n_c * sq - float(s @ s))
+    for cols in _class_groups(class_index, codes.shape[1]):
+        block = np.take(codes, cols, axis=1)  # (atoms, classes, size), C-contiguous
+        sums = block.sum(axis=2)
+        total += 2.0 * (cols.shape[1] * float(np.vdot(block, block)) - float(np.vdot(sums, sums)))
     return total
 
 
@@ -124,10 +126,11 @@ def layer_objective(
     class_index,
 ) -> float:
     """Reconstruction error plus ``alpha`` times the intra-class spread."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    resid = inputs - dictionary @ codes
-    value = float(np.sum(resid * resid))
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
+    resid = dictionary @ codes
+    np.subtract(inputs, resid, out=resid)
+    value = float(np.vdot(resid, resid))
     if alpha > 0:
         value += alpha * compactness_penalty(codes, class_index)
     return value
@@ -193,22 +196,23 @@ def update_representations(
     ``(D^T D + 2*alpha*(n-1) I) z_j = c_j + 2*alpha*(S_j + R_j)`` with
     ``c_j = D^T x_j``, ``S_j`` the sum of the class's already updated
     columns before ``j`` and ``R_j`` the sum of its old columns after ``j``.
-    Classes do not interact, so all classes of one size share one
-    ``gram_solver`` factor (with its ridge and pseudo-inverse fallback),
-    and the sweep solves position ``j`` of every such class in one call.
+    Classes do not interact, so all classes of one size share one factor
+    (with ``gram_solver``'s ridge and pseudo-inverse fallback), and the
+    sweep solves position ``j`` of every such class in one call, in place.
+    The inputs are checked once on entry and the result once on exit, so
+    an overflow raises ``ValueError``.
     Without coupling (``alpha == 0``, or singleton classes) there is one
     position, so a group's columns take one solve together.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if dictionary.shape[0] != inputs.shape[0]:
         raise ValueError("dictionary rows must match the input dimension")
     if codes.shape != (dictionary.shape[1], inputs.shape[1]):
         raise ValueError("codes shape must be (n_atoms, n_samples)")
     groups = _class_groups(class_index, inputs.shape[1])
     for name, array in (("dictionary", dictionary), ("inputs", inputs), ("codes", codes)):
-        if not np.isfinite(array).all():
-            raise ValueError(f"{name} must not contain infs or NaNs")
+        _require_finite(array, name)
 
     # Sample-row layout: row i of corr, old and out belongs to column i.
     gram = dictionary.T @ dictionary
@@ -219,16 +223,26 @@ def update_representations(
         groups = [np.concatenate(groups, axis=None)[:, None]]
     for cols in groups:
         n_c = cols.shape[1]
-        solve = gram_solver(gram + 2.0 * alpha * (n_c - 1) * np.eye(gram.shape[0]), policy)
+        factor, pseudo = _ridged_factor(gram, policy, 2.0 * alpha * (n_c - 1))
         by_position = cols.T  # row j: column j of every class in the group
         rhs = corr[by_position]  # (n_c, classes, atoms)
-        after = old[by_position[:0:-1]].cumsum(axis=0)[::-1]  # R_0 .. R_{n_c-2}
-        rhs[:-1] += 2.0 * alpha * after
+        # R_{n_c-2} .. R_0: a running sum of the old columns from the last position back
+        after = old[by_position[:0:-1]]
+        for i in range(1, n_c - 1):
+            after[i] += after[i - 1]
+        after *= 2.0 * alpha
+        rhs[:-1] += after[::-1]
         before = np.zeros_like(rhs[0])  # S_j
+        scaled = np.empty_like(before)
         for j in range(n_c):
-            rhs[j] = solve((rhs[j] + 2.0 * alpha * before).T).T
+            rhs[j] += np.multiply(before, 2.0 * alpha, out=scaled)
+            column_major = rhs[j].T  # F-contiguous: a factored solve overwrites it
+            solved = _solve_factored(factor, pseudo, column_major)
+            if solved is not column_major:
+                rhs[j] = solved.T
             before += rhs[j]
         out[by_position] = rhs
+    _require_finite(out, "updated codes")
     return np.ascontiguousarray(out.T)
 
 

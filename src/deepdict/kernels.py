@@ -63,6 +63,52 @@ def _require_finite(array: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must not contain infs or NaNs")
 
 
+def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
+    """``gram_solver``'s factorization of ``gram + shift * I``, in one private copy.
+
+    Returns ``(factor, None)``, the upper Cholesky factor of
+    ``gram + (shift + eps) * I`` with ``eps`` the policy's ridge on that
+    matrix's mean diagonal, or ``(None, pinv(gram + shift * I))`` when that
+    factorization fails. A non-finite diagonal raises ``ValueError``; in a
+    Gram matrix no entry is larger than the largest diagonal entry, so a
+    caller that forms one from checked inputs needs no full check.
+    """
+    k = gram.shape[0]
+    ridged = np.array(gram, dtype=float, order="F")
+    diagonal = ridged.ravel(order="F")[:: k + 1]  # a view: the diagonal is shifted in place
+    if shift:
+        diagonal += shift
+    trace = float(diagonal.sum())
+    if not math.isfinite(trace):
+        raise ValueError("gram must not contain infs or NaNs")
+    diagonal += policy.epsilon_scale * (trace / k if k else 0.0)
+    factor, info = _POTRF(ridged, lower=0, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    if info == 0:
+        return factor, None
+    try:
+        return None, np.linalg.pinv(gram + shift * np.eye(k) if shift else gram)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "Gram matrix factorization failed even after ridge stabilization"
+        ) from exc
+
+
+def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a ``_ridged_factor`` result, unchecked.
+
+    A factored solve overwrites an F-contiguous float ``rhs`` and returns
+    it; the pseudo-inverse path returns a new array.
+    """
+    if factor is None:
+        return pseudo @ rhs
+    solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
+    if status != 0:
+        raise ValueError(f"illegal value in argument {-status} of potrs")
+    return solution
+
+
 def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callable[[np.ndarray], np.ndarray]:
     """Return a solver for ``(gram + eps*I) x = rhs``.
 
@@ -77,30 +123,13 @@ def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callab
     if gram.shape != (k, k):
         raise ValueError("gram must be square")
     _require_finite(gram, "gram")
-    eps = policy.epsilon_scale * (float(np.trace(gram)) / k if k else 0.0)
-    factor, info = _POTRF(gram + eps * np.eye(k), lower=0, clean=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    if info > 0:
-        try:
-            pseudo = np.linalg.pinv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "Gram matrix factorization failed even after ridge stabilization"
-            ) from exc
-
-        def solve_pinv(rhs: np.ndarray) -> np.ndarray:
-            _require_finite(rhs, "right-hand side")
-            return pseudo @ rhs
-
-        return solve_pinv
+    factor, pseudo = _ridged_factor(gram, policy)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         _require_finite(rhs, "right-hand side")
-        solution, status = _POTRS(factor, rhs, lower=0)
-        if status != 0:
-            raise ValueError(f"illegal value in argument {-status} of potrs")
-        return solution
+        if factor is not None:
+            rhs = np.array(rhs, dtype=float, order="F")  # solved in place, so a private copy
+        return _solve_factored(factor, pseudo, rhs)
 
     return solve
 
@@ -114,7 +143,8 @@ def solve_least_squares_dictionary(
 
     Minimizes the squared Frobenius reconstruction error over the dictionary
     with the codes held fixed, via the normal equations on the code Gram
-    matrix.
+    matrix, solved as ``gram_solver`` solves them. Non-finite inputs or
+    codes, or a dictionary that overflows, raise ``ValueError``.
     """
     if inputs.ndim != 2 or codes.ndim != 2:
         raise ValueError("inputs and codes must be 2-D matrices")
@@ -124,9 +154,13 @@ def solve_least_squares_dictionary(
         )
     if codes.shape[0] < 1:
         raise ValueError("codes must have at least one row")
-    gram = codes @ codes.T
+    _require_finite(inputs, "inputs")
+    _require_finite(codes, "codes")
+    factor, pseudo = _ridged_factor(codes @ codes.T, policy)
     cross = inputs @ codes.T
-    return gram_solver(gram, policy)(cross.T).T
+    dictionary = _solve_factored(factor, pseudo, cross.T).T
+    _require_finite(dictionary, "dictionary")
+    return dictionary
 
 
 def ridge_code(

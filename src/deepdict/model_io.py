@@ -37,9 +37,13 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_matrix(path: str) -> np.ndarray:
-    with _naming(path):
-        return np.loadtxt(path, ndmin=2)
+def _read_array(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
+    with open(path) as fh, _naming(path):
+        # np.loadtxt only warns about a file without a data line
+        if not any(line.strip() and not line.lstrip().startswith("#") for line in fh):
+            raise ValueError("file holds no values")
+        fh.seek(0)
+        return np.loadtxt(fh, dtype=dtype, ndmin=ndmin)
 
 
 def save_model(model, out_dir: str) -> None:
@@ -96,14 +100,13 @@ def load_model(model_dir: str):
 
     depth = int(field("depth"))
     dictionaries = [
-        _read_matrix(os.path.join(model_dir, f"dictionary_{i:02d}.txt"))
+        _read_array(os.path.join(model_dir, f"dictionary_{i:02d}.txt"))
         for i in range(1, depth + 1)
     ]
     labels_path = os.path.join(model_dir, "train_labels.txt")
     labels = None
     if os.path.isfile(labels_path):
-        with _naming(labels_path):
-            labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
+        labels = _read_array(labels_path, np.int64, ndmin=1)
     traces = [np.asarray(t, dtype=float) for t in field("traces")]
     shared = dict(
         depth=depth,
@@ -118,7 +121,7 @@ def load_model(model_dir: str):
     if kind == "ddlic":
         cfg = DdlicConfig(alphas=tuple(float(a) for a in field("alphas")), **shared)
         layer_reprs = [
-            _read_matrix(os.path.join(model_dir, f"layer_repr_{i:02d}.txt"))
+            _read_array(os.path.join(model_dir, f"layer_repr_{i:02d}.txt"))
             for i in range(1, depth + 1)
         ]
         return DdlicModel(dictionaries, layer_reprs, cfg, traces, labels=labels)
@@ -128,6 +131,6 @@ def load_model(model_dir: str):
             ista=IstaConfig(**field("ista")),
             **shared,
         )
-        train_repr = _read_matrix(os.path.join(model_dir, "train_repr.txt"))
+        train_repr = _read_array(os.path.join(model_dir, "train_repr.txt"))
         return DdlModel(dictionaries, train_repr, cfg, traces, labels=labels)
     raise ValueError(f"{model_dir}: unknown model kind {kind!r}")

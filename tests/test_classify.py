@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from deepdict.classify import (
     KnnConfig,
+    _pairwise_euclidean,
     code_layers,
     code_test_ddlic,
     evaluate_accuracy,
@@ -288,6 +289,78 @@ def test_accuracy_curve_matches_oracle_at_every_k(case, selection):
     else:
         assert rep.selected_k == rep.ks[int(np.argmax(rep.accuracies))]
     assert rep.selected_accuracy == rep.accuracies[rep.ks.index(rep.selected_k)]
+
+
+def _train_major_distances(train, test):
+    """Reference: ``sqrt(max(a + b - 2 A^T B, 0))``, one row per training column."""
+    train_sq = np.sum(train * train, axis=0)
+    test_sq = np.sum(test * test, axis=0)
+    d2 = train_sq[:, None] + test_sq[None, :] - 2.0 * (train.T @ test)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+def _train_major_accuracy(train, labels, test, targets, cfg):
+    """Reference: the k sweep and leave-one-out choice over train-major distances.
+
+    Each test column ranks the training rows by a full stable ``argsort`` of
+    its column and votes rank by rank with the documented tie rule.
+    """
+    classes, ids = np.unique(labels, return_inverse=True)
+
+    def curve(dist, ks, truth):
+        order = np.argsort(dist, axis=0, kind="stable")[: max(ks)]
+        cols = np.arange(dist.shape[1])
+        counts = np.zeros((dist.shape[1], classes.size), dtype=np.int64)
+        sums = np.zeros(counts.shape)
+        hits = []
+        for rank, nearest in enumerate(order, start=1):
+            counts[cols, ids[nearest]] += 1
+            sums[cols, ids[nearest]] += dist[nearest, cols]
+            if rank in ks:
+                top = counts == counts.max(axis=1, keepdims=True)
+                won = classes[np.argmin(np.where(top, sums, np.inf), axis=1)]
+                hits.append(np.mean(won == truth))
+        return np.array(hits)
+
+    ks = [k for k in range(cfg.k_min, cfg.k_max + 1) if k <= train.shape[1]]
+    accuracies = curve(_train_major_distances(train, test), ks, targets)
+    selected = ks[int(np.argmax(accuracies))]
+    valid = [k for k in ks if k <= train.shape[1] - 1]
+    if cfg.selection == "cv" and valid:
+        loo = _train_major_distances(train, train)
+        np.fill_diagonal(loo, np.inf)
+        selected = valid[int(np.argmax(curve(loo, valid, labels)))]
+    elif cfg.selection == "cv":
+        selected = ks[0]
+    return accuracies, selected
+
+
+class TestTestMajorLayout:
+    @pytest.mark.parametrize("shape", [(24, 1200, 1200), (5, 40, 17), (1, 3, 8), (30, 7, 1)])
+    def test_distances_are_bit_identical_to_train_major_transposed(self, shape):
+        dim, n_train, n_test = shape
+        rng = RNG(31)
+        train, test = rng.normal(size=(dim, n_train)), rng.normal(size=(dim, n_test))
+        got = _pairwise_euclidean(train, test)
+        assert got.shape == (n_test, n_train) and got.flags.c_contiguous
+        assert np.array_equal(got, _train_major_distances(train, test).T)
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_integer_codes_give_the_reference_curve_and_k(self, selection, seed):
+        rng = RNG(40 + seed)
+        n_classes = 40 if seed < 2 else 5
+        labels = rng.integers(0, n_classes, size=600) * 7 - 3
+        train = rng.integers(-2, 3, size=(3, 600)).astype(float)
+        test = rng.integers(-2, 3, size=(3, 250)).astype(float)
+        targets = rng.integers(0, n_classes, size=250) * 7 - 3
+        cfg = KnnConfig(1, 30, selection)
+        rep = evaluate_accuracy(train, labels, test, targets, cfg)
+        accuracies, selected = _train_major_accuracy(train, labels, test, targets, cfg)
+        assert np.array_equal(rep.accuracies, accuracies)
+        assert rep.selected_k == selected
+        assert rep.selected_accuracy == accuracies[selected - 1]
 
 
 class TestTestSideCoding:

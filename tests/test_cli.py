@@ -261,6 +261,26 @@ def test_eval_unparsable_model_file_names_it(tmp_path, dataset, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["train_labels.txt", "dictionary_01.txt", "layer_repr_02.txt"])
+@pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank"])
+def test_eval_empty_model_file_names_it(tmp_path, dataset, capsys, recwarn, name, content):
+    model_dir = tmp_path / "model"
+    main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
+        ]
+    )
+    path = model_dir / name
+    path.write_text(content)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: file holds no values\n"
+    assert not recwarn.list
+
+
 def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsys):
     model_dir = tmp_path / "model"
     main(

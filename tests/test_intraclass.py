@@ -67,6 +67,47 @@ def _sequential_sweep(dictionary, inputs, codes, alpha, class_index, policy=DEFA
     return out
 
 
+def _batched_sweep(dictionary, inputs, codes, alpha, class_index, policy=DEFAULT_RIDGE):
+    """Reference: the sweep batched by class size through ``gram_solver``.
+
+    One ``gram_solver`` per class size, the sums of later columns from an
+    axis-0 ``cumsum``, and one checked ``potrs`` call per position.
+    """
+    by_size = {}
+    for ix in class_index:
+        by_size.setdefault(len(ix), []).append(ix)
+    groups = [np.array(members) for size, members in by_size.items() if size]
+    gram = dictionary.T @ dictionary
+    corr = inputs.T @ dictionary
+    old = codes.T
+    out = np.empty_like(corr)
+    if alpha == 0 and groups:
+        groups = [np.concatenate(groups, axis=None)[:, None]]
+    for cols in groups:
+        n_c = cols.shape[1]
+        solve = gram_solver(gram + 2.0 * alpha * (n_c - 1) * np.eye(gram.shape[0]), policy)
+        by_position = cols.T
+        rhs = corr[by_position]
+        after = old[by_position[:0:-1]].cumsum(axis=0)[::-1]
+        rhs[:-1] += 2.0 * alpha * after
+        before = np.zeros_like(rhs[0])
+        for j in range(n_c):
+            rhs[j] = solve((rhs[j] + 2.0 * alpha * before).T).T
+            before += rhs[j]
+        out[by_position] = rhs
+    return np.ascontiguousarray(out.T)
+
+
+def _per_class_penalty(codes, class_index):
+    """Reference: the compactness penalty summed class by class."""
+    total = 0.0
+    for idx in class_index:
+        block = codes[:, idx]
+        s = block.sum(axis=1)
+        total += 2.0 * (idx.size * float(np.sum(block * block)) - float(s @ s))
+    return total
+
+
 def _reference_train_layer(inputs, alpha, n_iters, class_index, init_dict):
     """Reference: the layer's own alternating loop."""
     codes = ridge_code(init_dict, inputs)
@@ -124,6 +165,21 @@ class TestPenaltyAndObjective:
         rng = RNG(1)
         codes = rng.normal(size=(3, 5))
         assert compactness_penalty(codes, _class_index((1,) * 5)) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "counts", [(30,) * 40, (1, 4, 2, 1, 5, 3, 4), (4, 6, 4, 6, 6, 4, 4)], ids=str
+    )
+    def test_penalty_by_class_size_matches_class_by_class_sum(self, counts):
+        rng = RNG(29)
+        codes = rng.normal(size=(12, sum(counts)))
+        class_index = tuple(np.split(rng.permutation(sum(counts)), np.cumsum(counts)[:-1]))
+        got = compactness_penalty(codes, class_index)
+        want = _per_class_penalty(codes, class_index)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_penalty_rejects_class_index_that_is_not_a_partition(self):
+        with pytest.raises(ValueError, match="partition"):
+            compactness_penalty(np.zeros((2, 6)), (np.arange(3), np.arange(2, 5)))
 
     def test_objective_is_residual_plus_weighted_penalty(self):
         inputs, dictionary, codes, class_index = _instance(2)
@@ -281,6 +337,53 @@ class TestClosedFormUpdates:
         got = update_representations(dictionary, inputs, codes, alpha, class_index)
         want = _sequential_sweep(dictionary, inputs, codes, alpha, class_index)
         assert _relative_error(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHA_GRID + (0.0, 3.0))
+    @pytest.mark.parametrize(
+        "d, k, counts",
+        [(64, 48, (30,) * 40), (200, 128, (30,) * 10), (8, 5, (4, 4, 4))],
+        ids=["many-class", "grid-parallel", "criterion-05"],
+    )
+    def test_sweep_is_bit_identical_to_batched_reference(self, alpha, d, k, counts):
+        for shuffle in (False, True):
+            inputs, dictionary, codes, class_index = _instance(24 + shuffle, d, k, counts)
+            if shuffle:
+                order = RNG(25).permutation(inputs.shape[1])
+                class_index = tuple(order[idx] for idx in class_index)
+            got = update_representations(dictionary, inputs, codes, alpha, class_index)
+            want = _batched_sweep(dictionary, inputs, codes, alpha, class_index)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    @pytest.mark.parametrize("policy", [RidgePolicy(epsilon_scale=0.0), DEFAULT_RIDGE])
+    def test_sweep_is_bit_identical_to_batched_reference_with_dead_atom(self, alpha, policy):
+        inputs, dictionary, codes, class_index = _instance(26, d=9, k=5, counts=(1, 4, 3, 2, 4))
+        dictionary[:, 1] = 0.0
+        got = update_representations(dictionary, inputs, codes, alpha, class_index, policy)
+        want = _batched_sweep(dictionary, inputs, codes, alpha, class_index, policy)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_sweep_rejects_finite_inputs_that_overflow(self, alpha):
+        inputs, dictionary, codes, class_index = _instance(27)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the right-hand sides D^T x overflow; the Gram matrix does not
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                update_representations(
+                    dictionary, np.sign(inputs) * 1e308, codes, alpha, class_index
+                )
+            # the Gram matrix D^T D overflows
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                update_representations(dictionary * 1e160, inputs, codes, alpha, class_index)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_sweep_and_objective_reject_bad_weight(self, bad):
+        inputs, dictionary, codes, class_index = _instance(28)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            update_representations(dictionary, inputs, codes, bad, class_index)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            layer_objective(inputs, dictionary, codes, bad, class_index)
 
     @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
     def test_sweep_returns_c_contiguous_codes(self, alpha):

@@ -199,6 +199,39 @@ class TestClosedFormSolvers:
         with pytest.raises(ValueError, match="column counts differ"):
             solve_least_squares_dictionary(np.zeros((3, 4)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("policy", [DEFAULT_RIDGE, RidgePolicy(epsilon_scale=0.0)])
+    @pytest.mark.parametrize("dead_atom", [False, True])
+    def test_dictionary_solve_is_bit_identical_to_gram_solver(self, policy, dead_atom):
+        rng = RNG(19)
+        for atoms, dim, n in ((5, 8, 12), (48, 64, 1200), (128, 200, 300)):
+            codes = rng.normal(size=(atoms, n))
+            if dead_atom:
+                codes[1] = 0.0  # without a ridge the solve takes the pseudo-inverse
+            inputs = rng.normal(size=(dim, n))
+            got = solve_least_squares_dictionary(inputs, codes, policy)
+            want = gram_solver(codes @ codes.T, policy)((inputs @ codes.T).T).T
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+
+    @pytest.mark.parametrize("where", ["inputs", "codes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dictionary_solve_rejects_non_finite_matrix(self, where, bad):
+        args = {"inputs": np.ones((3, 4)), "codes": np.eye(2, 4)}
+        args[where][1, 1] = bad
+        with pytest.raises(ValueError, match=f"{where} must not contain infs or NaNs"):
+            solve_least_squares_dictionary(args["inputs"], args["codes"])
+
+    def test_dictionary_solve_rejects_finite_inputs_that_overflow(self):
+        rng = RNG(20)
+        codes, inputs = rng.normal(size=(3, 10)), rng.normal(size=(4, 10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the products inputs @ codes.T overflow; the code Gram matrix does not
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_least_squares_dictionary(np.sign(inputs) * 1e308, codes)
+            # the code Gram matrix overflows
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_least_squares_dictionary(inputs, codes * 1e160)
+
 
 class TestInitialization:
     def test_qr_init_is_orthonormal_and_spans_data(self):

@@ -21,3 +21,20 @@ def test_library_use_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     k, accuracy = capsys.readouterr().out.splitlines()[0].split()
     assert int(k) >= 1 and 0 <= float(accuracy) <= 1
+
+
+def _quickstart_commands() -> list[str]:
+    """The quickstart's shell commands in order, continuation lines joined."""
+    section = README.read_text().split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", section, re.S))
+    return [" ".join(line.split()) for line in script.replace("\\\n", " ").splitlines()]
+
+
+def test_quickstart_reads_only_files_it_wrote():
+    commands = _quickstart_commands()
+    assert any(c.startswith("deepdict eval ") for c in commands)
+    written = set()
+    for command in commands:
+        for path in re.findall(r"--(?:data|model) (\S+)", command):
+            assert path.rstrip("/") in written, f"{command!r} reads {path}, which nothing wrote"
+        written.update(p.rstrip("/") for p in re.findall(r"(?:--out|>) (\S+)", command))
