@@ -221,7 +221,7 @@ def evaluate_accuracy(
     targets = np.asarray(test_labels)
     if targets.shape != (test_codes.shape[1],):
         raise ValueError("test_labels must have one entry per test column")
-    ks = [k for k in range(cfg.k_min, cfg.k_max + 1) if k <= n_train]
+    ks = list(range(cfg.k_min, min(cfg.k_max, n_train) + 1))
     if not ks:
         raise ValueError("no valid neighbor size: training set is too small")
 

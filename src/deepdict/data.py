@@ -10,7 +10,7 @@ shared freely across threads and worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,38 +35,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class LabeledMatrix:
     """Feature matrix (one sample per column) with integer class labels.
 
-    ``labels`` holds internal class ids ``0..C-1``; ``label_values[c]`` is
-    the original integer label of class ``c``. ``class_index[c]`` lists the
-    columns of class ``c`` in ascending order and the tuple partitions all
-    columns.
+    Built from ``features`` and per-column integer ``original_labels``; the
+    rest is derived. ``labels`` holds internal class ids ``0..C-1``;
+    ``label_values[c]`` is the original integer label of class ``c``.
+    ``class_index[c]`` lists the columns of class ``c`` in ascending order
+    and the tuple partitions all columns.
     """
 
     features: np.ndarray
-    labels: np.ndarray
-    class_index: tuple[np.ndarray, ...]
-    label_values: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, features, labels) -> "LabeledMatrix":
-        """Build from a feature matrix and per-column integer labels."""
-        feats = np.array(features, dtype=float)
-        lab = np.asarray(labels)
-        if lab.dtype == object or not np.issubdtype(lab.dtype, np.integer):
-            raise ValueError("labels must be integers")
-        values, remapped = np.unique(lab, return_inverse=True)
-        remapped = remapped.astype(np.int64).reshape(-1)
-        index = tuple(
-            _freeze(np.flatnonzero(remapped == c)) for c in range(values.size)
-        )
-        return cls(
-            _freeze(feats),
-            _freeze(remapped),
-            index,
-            _freeze(values.astype(np.int64)),
-        )
+    original_labels: np.ndarray
+    labels: np.ndarray = field(init=False)
+    label_values: np.ndarray = field(init=False)
+    class_index: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        f = self.features
+        f = np.array(self.features, dtype=float)
+        lab = np.asarray(self.original_labels)
+        if lab.dtype == object or not np.issubdtype(lab.dtype, np.integer):
+            raise ValueError("labels must be integers")
         if f.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         k0, n = f.shape
@@ -74,20 +60,20 @@ class LabeledMatrix:
             raise ValueError("feature matrix must be non-empty")
         if not np.all(np.isfinite(f)):
             raise ValueError("features contain non-finite values")
-        if self.labels.shape != (n,):
+        values, remapped = np.unique(lab, return_inverse=True)
+        remapped = remapped.astype(np.int64).reshape(-1)
+        if remapped.shape != (n,):
             raise ValueError("labels must have one entry per column")
-        if len(self.class_index) != self.label_values.shape[0]:
-            raise ValueError("class_index and label_values disagree on class count")
-        if not self.class_index:
-            raise ValueError("at least one class is required")
-        covered = np.concatenate([np.asarray(ix) for ix in self.class_index])
-        if covered.size != n or not np.array_equal(np.sort(covered), np.arange(n)):
-            raise ValueError("class_index must partition the columns")
-        for c, ix in enumerate(self.class_index):
-            if ix.size == 0:
-                raise ValueError("empty class after grouping")
-            if not np.all(self.labels[ix] == c):
-                raise ValueError("class_index inconsistent with labels")
+        derived = {
+            "features": f,
+            "original_labels": lab.astype(np.int64).reshape(-1),
+            "labels": remapped,
+            "label_values": values.astype(np.int64),
+        }
+        for name, arr in derived.items():
+            object.__setattr__(self, name, _freeze(arr))
+        index = tuple(_freeze(np.flatnonzero(remapped == c)) for c in range(values.size))
+        object.__setattr__(self, "class_index", index)
 
     @property
     def feature_dim(self) -> int:
@@ -100,14 +86,6 @@ class LabeledMatrix:
     @property
     def num_classes(self) -> int:
         return len(self.class_index)
-
-    @property
-    def original_labels(self) -> np.ndarray:
-        """Per-column labels in their original integer values."""
-        return self.label_values[self.labels]
-
-    def class_counts(self) -> tuple[int, ...]:
-        return tuple(ix.size for ix in self.class_index)
 
 
 @dataclass(frozen=True)
@@ -156,9 +134,7 @@ def split_indices(data: LabeledMatrix, spec: SplitSpec) -> tuple[np.ndarray, np.
 
 def take_columns(data: LabeledMatrix, cols: np.ndarray) -> LabeledMatrix:
     """New LabeledMatrix holding the given columns, in the given order."""
-    return LabeledMatrix.from_arrays(
-        data.features[:, cols], data.original_labels[cols]
-    )
+    return LabeledMatrix(data.features[:, cols], data.original_labels[cols])
 
 
 def split_per_class(data: LabeledMatrix, spec: SplitSpec) -> tuple[LabeledMatrix, LabeledMatrix]:
@@ -206,7 +182,7 @@ def make_synthetic_clusters(
     for c in range(n_classes):
         block = slice(c * n_per_class, (c + 1) * n_per_class)
         features[:, block] = means[:, c:c + 1] + rng.standard_normal((dim, n_per_class))
-    return LabeledMatrix.from_arrays(features, labels)
+    return LabeledMatrix(features, labels)
 
 
 def _parse_float(field: str, path: str, lineno: int, col: int) -> float:
@@ -363,7 +339,7 @@ def load_labeled_matrix(
         if np.any(norms == 0):
             raise ValueError("cannot normalize zero columns to unit norm")
         feats = feats / norms
-    return LabeledMatrix.from_arrays(feats, labels)
+    return LabeledMatrix(feats, labels)
 
 
 def save_labeled_matrix(

@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "ReplicateResult",
     "ExperimentReport",
-    "GridRow",
     "load_experiment_data",
     "fit_model",
     "code_test",
@@ -153,14 +152,6 @@ class ExperimentReport:
     wall_seconds: float = 0.0  # elapsed time of all replicates, workers included
 
 
-@dataclass
-class GridRow:
-    alphas: tuple[float, ...]
-    mean_accuracy: float
-    std_accuracy: float
-    n_failed: int
-
-
 def _check_one_dataset(cfg: ExperimentConfig) -> None:
     if cfg.data_path and cfg.synthetic:
         raise ValueError("configure either data= or synth_*, not both")
@@ -206,7 +197,7 @@ def fit_model(cfg: ExperimentConfig, train: LabeledMatrix, seed: int):
     if cfg.method == "ddlic":
         return train_ddlic(train, _ddlic_config(cfg, seed))
     model = train_ddl(train.features, _ddl_config(cfg, seed))
-    return replace(model, labels=np.asarray(train.original_labels))
+    return replace(model, labels=np.array(train.original_labels))
 
 
 def code_test(model, features: np.ndarray) -> np.ndarray:
@@ -317,14 +308,13 @@ def _one_blas_thread() -> None:
 
 def _run_replicates(cfg: ExperimentConfig, data: LabeledMatrix) -> list[ReplicateResult]:
     indices = range(1, cfg.replicates + 1)
-    if cfg.workers <= 1:
-        results = [_run_replicate(cfg, data, r) for r in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
-            futures = [pool.submit(_run_replicate, cfg, data, r) for r in indices]
-            results = [f.result() for f in futures]
-    results.sort(key=lambda res: res.index)
-    return results
+    workers = min(cfg.workers, cfg.replicates)
+    if workers == 1:
+        return [_run_replicate(cfg, data, r) for r in indices]
+    # A fork pool starts all of its workers at the first submit.
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        futures = [pool.submit(_run_replicate, cfg, data, r) for r in indices]
+        return [f.result() for f in futures]
 
 
 def evaluate_experiment(
@@ -435,8 +425,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def grid_search_alpha(
     cfg: ExperimentConfig, data: LabeledMatrix | None = None
-) -> tuple[tuple[float, ...], list[GridRow]]:
-    """Evaluate the alpha grid and return (best alphas, full table).
+) -> tuple[tuple[float, ...], list[ExperimentReport]]:
+    """Evaluate the alpha grid and return (best alphas, one report per cell).
 
     ``grid_mode="shared"`` ties every layer to one grid value (default);
     ``grid_mode="full"`` evaluates the full per-layer Cartesian product.
@@ -459,12 +449,8 @@ def grid_search_alpha(
     if all(report.n_failed == cfg.replicates for report in reports):
         first = reports[0].replicates[0].error
         raise ValueError(f"every grid cell failed; first replicate error: {first}")
-    rows = [
-        GridRow(report.alphas, report.mean_accuracy, report.std_accuracy, report.n_failed)
-        for report in reports
-    ]
-    best = max(rows, key=lambda row: np.nan_to_num(row.mean_accuracy, nan=-math.inf))
-    return best.alphas, rows
+    best = max(reports, key=lambda report: np.nan_to_num(report.mean_accuracy, nan=-math.inf))
+    return best.alphas, reports
 
 
 def export_embeddings(model, train: LabeledMatrix, out_dir: str) -> list[str]:

@@ -1,5 +1,7 @@
 """Nearest-neighbor prediction, tie rules, accuracy sweeps, test-side coding."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,23 @@ class TestEvaluateAccuracy:
         test = rng.normal(size=(2, 4))
         rep = evaluate_accuracy(train, labels, test, np.zeros(4, np.int64), KnnConfig(1, 30))
         assert rep.ks == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    def test_huge_neighbor_limit_costs_nothing_past_the_training_size(self, selection):
+        rng = RNG(7)
+        train = rng.normal(size=(3, 30))
+        labels = rng.integers(0, 3, size=30)
+        test = rng.normal(size=(3, 12))
+        targets = rng.integers(0, 3, size=12)
+        want = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 30, selection))
+        started = time.perf_counter()
+        got = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 10**8, selection))
+        assert time.perf_counter() - started < 1.0
+        assert got.ks == want.ks == tuple(range(1, 31))
+        assert np.array_equal(got.accuracies, want.accuracies)
+        assert (got.best_k, got.best_accuracy, got.selected_k, got.selected_accuracy) == (
+            want.best_k, want.best_accuracy, want.selected_k, want.selected_accuracy
+        )
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty test"):

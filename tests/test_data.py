@@ -23,7 +23,7 @@ from deepdict.data import (
 def _toy(labels=(5, 5, 9, 9, 9, 2)):
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(4, len(labels)))
-    return LabeledMatrix.from_arrays(feats, np.array(labels))
+    return LabeledMatrix(feats, np.array(labels))
 
 
 class TestLabeledMatrix:
@@ -51,21 +51,45 @@ class TestLabeledMatrix:
 
     def test_rejects_float_labels(self):
         with pytest.raises(ValueError, match="integers"):
-            LabeledMatrix.from_arrays(np.zeros((2, 3)), np.array([0.0, 1.0, 2.0]))
+            LabeledMatrix(np.zeros((2, 3)), np.array([0.0, 1.0, 2.0]))
 
     def test_rejects_non_finite_features(self):
         feats = np.zeros((2, 3))
         feats[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            LabeledMatrix.from_arrays(feats, np.array([0, 1, 2]))
+            LabeledMatrix(feats, np.array([0, 1, 2]))
 
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            LabeledMatrix.from_arrays(np.zeros((2, 3)), np.array([0, 1]))
+            LabeledMatrix(np.zeros((2, 3)), np.array([0, 1]))
 
     def test_class_counts(self):
         data = _toy()
-        assert data.class_counts() == (1, 2, 3)
+        assert tuple(ix.size for ix in data.class_index) == (1, 2, 3)
+
+    def test_derived_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            LabeledMatrix(np.zeros((2, 2)), np.array([0, 1]), labels=np.array([0, 1]))
+
+    def test_original_labels_are_stored_int64_and_read_only(self):
+        labels = np.array([7, 3, 7], dtype=np.int32)
+        data = LabeledMatrix(np.zeros((2, 3)), labels)
+        assert data.original_labels.dtype == np.int64
+        assert data.label_values.tolist() == [3, 7]
+        with pytest.raises(ValueError):
+            data.original_labels[0] = 1
+        labels[0] = 3  # the caller's array stays its own
+        assert data.original_labels.tolist() == [7, 3, 7]
+        assert all(not ix.flags.writeable for ix in data.class_index)
+
+    def test_accepts_a_row_of_labels(self):
+        data = LabeledMatrix(np.zeros((2, 3)), np.array([[4, 1, 4]]))
+        assert data.original_labels.tolist() == [4, 1, 4]
+        assert data.labels.tolist() == [1, 0, 1]
+
+    def test_checks_labels_before_features(self):
+        with pytest.raises(ValueError, match="integers"):
+            LabeledMatrix(np.full((2, 2), np.nan), np.array([0.5, 1.0]))
 
 
 class TestSplits:
@@ -99,8 +123,8 @@ class TestSplits:
     def test_train_preserves_per_class_count_and_class_blocks(self):
         data = make_synthetic_clusters(3, 10, 5, 4.0, seed=5)
         train, test = split_per_class(data, SplitSpec(7, seed=1, replicate_index=1))
-        assert train.class_counts() == (7, 7, 7)
-        assert test.class_counts() == (3, 3, 3)
+        assert tuple(ix.size for ix in train.class_index) == (7, 7, 7)
+        assert tuple(ix.size for ix in test.class_index) == (3, 3, 3)
         # class blocks stay contiguous after the split
         assert np.array_equal(train.labels, np.sort(train.labels))
 
@@ -313,7 +337,7 @@ def _check_dense(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _agree(dd._read_dense, _DENSE_LINES, _same_arrays, path)
-        _agree(load_labeled_matrix, lambda p: LabeledMatrix.from_arrays(*_DENSE_LINES(p)),
+        _agree(load_labeled_matrix, lambda p: LabeledMatrix(*_DENSE_LINES(p)),
                _same_matrix, path)
     assert caught == []
 
@@ -441,7 +465,7 @@ class TestFastParse:
 
 def test_save_writes_shortest_reprs(tmp_path):
     feats = np.array([[0.1, -0.0, 5e-324], [1e16, 2.5, -1.0]])
-    data = LabeledMatrix.from_arrays(feats, np.array([-3, 7, 2**62]))
+    data = LabeledMatrix(feats, np.array([-3, 7, 2**62]))
     dense, mat, lab = tmp_path / "d.csv", tmp_path / "x.txt", tmp_path / "y.txt"
     save_labeled_matrix(data, str(dense))
     save_labeled_matrix(data, str(mat), format="pair", labels_path=str(lab))

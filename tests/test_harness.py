@@ -5,6 +5,7 @@ import glob
 import math
 import os
 from collections import namedtuple
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from deepdict.harness import (
 )
 from deepdict.baseline import TrainConfig, train_ddl
 from deepdict.intraclass import DdlicConfig, train_ddlic
-from deepdict.data import SplitSpec, split_per_class
+from deepdict.data import LabeledMatrix, SplitSpec, split_per_class
 
 # NumPy's and SciPy's OpenBLAS copies: (package, thread-count symbol pattern).
 OPENBLAS = (
@@ -142,9 +143,10 @@ class TestEvaluateExperiment:
         assert [r.accuracy for r in a.replicates] == [r.accuracy for r in b.replicates]
         assert a.replicates[0].scatter == b.replicates[0].scatter
 
-    def test_failed_replicates_are_recorded_not_raised(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_replicates_are_recorded_not_raised(self, workers):
         # h equal to the class size leaves no test remainder: every split fails
-        cfg = small_config(train_per_class=8)
+        cfg = small_config(train_per_class=8, workers=workers)
         report = evaluate_experiment(cfg)
         assert report.n_failed == 3
         assert all(r.failed for r in report.replicates)
@@ -175,6 +177,35 @@ class TestEvaluateExperiment:
             for set_threads, count in zip(sets, saved):
                 set_threads(count)
 
+    @pytest.mark.parametrize("workers, replicates, pools", [(16, 2, [2]), (2, 1, []), (2, 3, [2])])
+    def test_pool_is_never_wider_than_the_replicate_count(
+        self, monkeypatch, workers, replicates, pools
+    ):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs each task in this process."""
+
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_run_replicate", lambda cfg, data, r: r)
+        cfg = small_config(workers=workers, replicates=replicates)
+        assert harness._run_replicates(cfg, None) == list(range(1, replicates + 1))
+        assert sizes == pools
+
     def test_blas_thread_limit_skips_missing_library_or_symbol(self, monkeypatch):
         gets = _openblas_calls("get")
         before = [get() for get in gets]
@@ -195,6 +226,44 @@ class TestEvaluateExperiment:
             r.accuracy for r in parallel.replicates
         ]
         assert serial.replicates[-1].scatter == parallel.replicates[-1].scatter
+
+
+class TestDegenerateFeatures:
+    def test_all_zero_features(self, monkeypatch):
+        # ddlic trains through the pseudo-inverse fallback to chance accuracy;
+        # every ddl replicate fails on its zero dictionary
+        data = LabeledMatrix(np.zeros((10, 24)), np.repeat(np.arange(3), 8))
+        pinv, pinv_calls = np.linalg.pinv, []
+
+        def counted_pinv(a):
+            pinv_calls.append(a.shape)
+            return pinv(a)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+        report = evaluate_experiment(small_config(), data)
+        assert pinv_calls
+        assert report.n_failed == 0
+        assert [r.accuracy for r in report.replicates] == [1 / 3] * 3
+        assert report.scatter_means == (0.0, 0.0, 0.0)
+        report = evaluate_experiment(small_config(method="ddl"), data)
+        assert report.n_failed == 3
+        assert {r.error for r in report.replicates} == {
+            "ValueError: dictionary has zero spectral norm; cannot derive a step size"
+        }
+
+    @pytest.mark.parametrize("method", ["ddlic", "ddl"])
+    def test_constant_feature_row(self, method):
+        data = make_synthetic_clusters(3, 8, 10, 5.0, seed=0)
+        features = np.array(data.features)
+        features[2] = 3.5
+        constant = LabeledMatrix(features, data.original_labels)
+        report = evaluate_experiment(small_config(method=method), constant)
+        assert report.n_failed == 0
+        assert all(0.0 <= r.accuracy <= 1.0 for r in report.replicates)
+        # a constant row adds no scatter to the input
+        dropped = LabeledMatrix(np.delete(features, 2, axis=0), data.original_labels)
+        without = evaluate_experiment(small_config(method=method), dropped)
+        assert report.scatter_means[0] == pytest.approx(without.scatter_means[0], rel=1e-12)
 
 
 class TestRunExperiment:
