@@ -5,7 +5,8 @@ independent train/test splits (replicate ``r`` uses seed ``base_seed + r``),
 evaluates nearest-neighbor accuracy on each, and aggregates. Everything is
 deterministic given the configuration, so two runs with the same config
 produce byte-identical CSV reports. Replicates are independent and can run
-in worker processes; report assembly stays serialized and ordered.
+in worker processes, one pool per command: a grid submits every cell's
+replicates to it at once. Report assembly stays serialized and ordered.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -306,27 +308,50 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
+@contextmanager
+def _replicate_pool(workers: int, tasks: int):
+    """A fork pool of ``min(workers, tasks)`` processes, or ``None`` at width 1.
+
+    Its workers all start at the first submit. An exception in the block
+    cancels the queued tasks, so the pool waits only for the running ones.
+    """
+    width = min(workers, tasks)
+    if width == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=width, initializer=_one_blas_thread) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _submit_replicates(pool, cfg: ExperimentConfig, data: LabeledMatrix) -> list[Future]:
+    return [pool.submit(_run_replicate, cfg, data, r) for r in range(1, cfg.replicates + 1)]
+
+
 def _run_replicates(cfg: ExperimentConfig, data: LabeledMatrix) -> list[ReplicateResult]:
-    indices = range(1, cfg.replicates + 1)
-    workers = min(cfg.workers, cfg.replicates)
-    if workers == 1:
-        return [_run_replicate(cfg, data, r) for r in indices]
-    # A fork pool starts all of its workers at the first submit.
-    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(_run_replicate, cfg, data, r) for r in indices]
-        return [f.result() for f in futures]
+    with _replicate_pool(cfg.workers, cfg.replicates) as pool:
+        if pool is None:
+            return [_run_replicate(cfg, data, r) for r in range(1, cfg.replicates + 1)]
+        return [f.result() for f in _submit_replicates(pool, cfg, data)]
 
 
 def evaluate_experiment(
-    cfg: ExperimentConfig, data: LabeledMatrix | None = None
+    cfg: ExperimentConfig, data: LabeledMatrix | None = None, *, pending: list[Future] | None = None
 ) -> ExperimentReport:
-    """Run all replicates and aggregate, without touching the filesystem."""
+    """Run all replicates and aggregate, without touching the filesystem.
+
+    ``pending`` holds the replicates' futures in order, submitted to a pool
+    the caller owns; the report then waits for them instead of running them.
+    """
     if cfg.train_per_class is None:
         raise ValueError("train_per_class (h) is required to run an experiment")
     if data is None:
         data = load_experiment_data(cfg)
     started = time.perf_counter()
-    results = _run_replicates(cfg, data)
+    results = _run_replicates(cfg, data) if pending is None else [f.result() for f in pending]
     wall_seconds = time.perf_counter() - started
     ok = [res for res in results if not res.failed]
     if ok:
@@ -443,9 +468,12 @@ def grid_search_alpha(
         combos = [(a,) * depth for a in cfg.alpha_grid]
     else:
         combos = [tuple(c) for c in itertools.product(cfg.alpha_grid, repeat=depth)]
-    reports = [
-        evaluate_experiment(replace(cfg, alphas=alphas, out_dir=None), data) for alphas in combos
-    ]
+    cells = [replace(cfg, alphas=alphas, out_dir=None) for alphas in combos]
+    # One pool serves every cell, all submitted up front; each cell's report
+    # waits for its own futures. Without a pool each cell runs in turn.
+    with _replicate_pool(cfg.workers, len(cells) * cfg.replicates) as pool:
+        pending = [None if pool is None else _submit_replicates(pool, cell, data) for cell in cells]
+        reports = [evaluate_experiment(cell, data, pending=p) for cell, p in zip(cells, pending)]
     if all(report.n_failed == cfg.replicates for report in reports):
         first = reports[0].replicates[0].error
         raise ValueError(f"every grid cell failed; first replicate error: {first}")

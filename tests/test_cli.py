@@ -141,6 +141,26 @@ def test_grid_reports_best_cell(tmp_path, dataset, capsys):
     assert len(grid_lines) == 3
 
 
+@pytest.mark.parametrize("mode", ["shared", "full"])
+def test_grid_output_is_the_same_with_one_or_two_workers(tmp_path, dataset, capsys, mode):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"grid-{workers}"
+        rc = main(
+            [
+                "grid", "--data", str(dataset), "--layer-sizes", "6,4",
+                "--iters", "2", "--h", "5", "--replicates", "2",
+                "--knn-max", "3", "--alpha-grid", "0.0001,0.01",
+                "--grid-mode", mode, "--workers", workers, "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((stdout, (out / "grid.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1].splitlines()) == (3 if mode == "shared" else 5)
+
+
 def test_grid_fails_when_every_cell_fails(dataset, capsys):
     # 10 samples per class leave no test remainder after h = 20
     rc = main(

@@ -4,8 +4,11 @@ import ctypes
 import glob
 import math
 import os
+import time
 from collections import namedtuple
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +80,59 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+class RecordingPool:
+    """A stand-in for ``ProcessPoolExecutor`` that starts no process.
+
+    Each instance logs its width, every submitted task and its shutdown
+    calls to ``events``. A task runs in this process at submit, unless
+    ``queue`` is set: then its future stays pending, as in a busy pool.
+    """
+
+    events: list = []
+    queue = False
+
+    def __init__(self, max_workers, initializer):
+        self.events.append(("pool", max_workers))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.events.append(("exit",))
+        return False
+
+    def submit(self, fn, cfg, data, r):
+        self.events.append(("submit", cfg.alphas, r))
+        future = Future()
+        if not self.queue:
+            future.set_result(fn(cfg, data, r))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.events.append(("shutdown", cancel_futures))
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """Install ``RecordingPool`` with a fresh log and instant replicates."""
+    monkeypatch.setattr(RecordingPool, "events", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(
+        harness,
+        "_run_replicate",
+        lambda cfg, data, r: harness.ReplicateResult(
+            r, cfg.seed + r, 1.0, 1, (), 0.0, 0.0, False, ""
+        ),
+    )
+    return RecordingPool
+
+
+def _replicate_fields(report):
+    return [
+        (r.index, r.seed, r.failed, r.accuracy, r.best_k, r.scatter) for r in report.replicates
+    ]
 
 
 class TestScatterRatio:
@@ -320,9 +376,10 @@ class TestGridSearch:
         first = next(row for row in rows if row.mean_accuracy == top)
         assert best == first.alphas
 
-    def test_every_cell_failing_raises_the_first_replicate_error(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_cell_failing_raises_the_first_replicate_error(self, workers):
         # h equal to the class size leaves no test remainder: every split fails
-        cfg = small_config(train_per_class=8, replicates=2)
+        cfg = small_config(train_per_class=8, replicates=2, workers=workers)
         with pytest.raises(
             ValueError,
             match="every grid cell failed; first replicate error: ValueError: class 0 has 8",
@@ -332,6 +389,91 @@ class TestGridSearch:
     def test_requires_label_aware_method(self):
         with pytest.raises(ValueError, match="ddlic"):
             grid_search_alpha(small_config(method="ddl"))
+
+    @pytest.mark.parametrize("mode", ["shared", "full"])
+    def test_parallel_grid_equals_serial_grid(self, mode):
+        cfg = small_config(replicates=2, grid_mode=mode)
+        data = load_experiment_data(cfg)
+        serial_best, serial = grid_search_alpha(cfg, data)
+        parallel_best, parallel = grid_search_alpha(replace(cfg, workers=2), data)
+        assert parallel_best == serial_best
+        assert len(parallel) == len(serial) == (2 if mode == "shared" else 4)
+        for a, b in zip(serial, parallel):
+            assert (a.alphas, a.mean_accuracy, a.std_accuracy, a.n_failed) == (
+                b.alphas, b.mean_accuracy, b.std_accuracy, b.n_failed
+            )
+            assert _replicate_fields(a) == _replicate_fields(b)
+
+    def test_one_pool_serves_every_cell(self, monkeypatch, recording_pool):
+        # 2 cells x 2 replicates: one pool, 4 wide, every task submitted in
+        # cell-major order before any cell's report is built
+        cfg = small_config(workers=16, replicates=2)
+        evaluate = harness.evaluate_experiment
+
+        def recording_evaluate(cell, data=None, **kwargs):
+            recording_pool.events.append(("report", cell.alphas))
+            return evaluate(cell, data, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_experiment", recording_evaluate)
+        _, reports = grid_search_alpha(cfg, load_experiment_data(cfg))
+        cells = [(1e-4, 1e-4), (1e-2, 1e-2)]
+        assert recording_pool.events == (
+            [("pool", 4)]
+            + [("submit", alphas, r) for alphas in cells for r in (1, 2)]
+            + [("report", alphas) for alphas in cells]
+            + [("exit",)]
+        )
+        assert [_replicate_fields(rep) for rep in reports] == [
+            [(r, r, False, 1.0, 1, ()) for r in (1, 2)]
+        ] * 2
+
+    def test_serial_grid_opens_no_pool(self, recording_pool):
+        cfg = small_config(workers=1, replicates=2)
+        grid_search_alpha(cfg, load_experiment_data(cfg))
+        assert recording_pool.events == []
+
+    def test_an_error_while_waiting_cancels_queued_replicates(self, monkeypatch, recording_pool):
+        # Each cell's first replicate finds its worker dead; the rest stay queued.
+        monkeypatch.setattr(recording_pool, "queue", True)
+        submit = recording_pool.submit
+
+        def submit_then_break(pool, fn, cfg, data, r):
+            future = submit(pool, fn, cfg, data, r)
+            if r == 1:
+                future.set_exception(BrokenProcessPool("a worker died"))
+            return future
+
+        monkeypatch.setattr(recording_pool, "submit", submit_then_break)
+        cfg = small_config(workers=2, replicates=2)
+        with pytest.raises(BrokenProcessPool, match="a worker died"):
+            grid_search_alpha(cfg, load_experiment_data(cfg))
+        assert recording_pool.events[0] == ("pool", 2)
+        assert recording_pool.events[-2:] == [("shutdown", True), ("exit",)]
+
+    def test_each_cell_reports_through_evaluate_experiment(self, monkeypatch):
+        # Callers that observe grid cells, such as a benchmark's hooks, wrap
+        # harness.evaluate_experiment and read the cell's config as args[0].
+        cfg = small_config(replicates=2, workers=2)
+        data = load_experiment_data(cfg)
+        calls = []
+        evaluate = harness.evaluate_experiment
+
+        def recording_evaluate(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            calls.append((args, report))
+            return report
+
+        monkeypatch.setattr(harness, "evaluate_experiment", recording_evaluate)
+        started = time.perf_counter()
+        _, reports = grid_search_alpha(cfg, data)
+        elapsed = time.perf_counter() - started
+        assert [args[0] for args, _ in calls] == [
+            replace(cfg, alphas=(a, a), out_dir=None) for a in cfg.alpha_grid
+        ]
+        assert all(args[0].workers > 1 and args[1] is data for args, _ in calls)
+        assert all(report is mine for (_, report), mine in zip(calls, reports))
+        assert all(report.wall_seconds > 0 for report in reports)
+        assert sum(report.wall_seconds for report in reports) <= elapsed
 
 
 class TestExports:
