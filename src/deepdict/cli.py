@@ -19,6 +19,7 @@ import sys
 from .classify import evaluate_accuracy
 from .data import make_synthetic_clusters, save_labeled_matrix
 from .harness import (
+    _BOOL,
     CONFIG_KEYS,
     build_experiment_config,
     code_test,
@@ -50,51 +51,26 @@ def _load_model_and_data(args: argparse.Namespace):
     return cfg, load_model(args.model), load_experiment_data(cfg)
 
 
+# The config keys each command takes as flags, in the order its help lists them.
+_DATA_KEYS = ("data", "format", "labels", "normalize")
+_METHOD_KEYS = ("method", "depth", "layer_sizes", "alphas", "l1_weight", "iters", "init", "seed")
+_KNN_KEYS = ("knn_min", "knn_max", "knn_selection")
+_EXPERIMENT_KEYS = _DATA_KEYS + _METHOD_KEYS + _KNN_KEYS + ("h", "replicates", "workers")
+
+
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value settings file; flags override it")
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="labeled data file")
-    p.add_argument("--format", choices=("dense", "pair"), help="data file layout")
-    p.add_argument("--labels", help="separate label file (pair format)")
-    p.add_argument(
-        "--normalize",
-        action="store_const",
-        const="true",
-        help="scale each sample to unit norm on load",
-    )
-
-
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("ddl", "ddlic"), help="training method")
-    p.add_argument("--depth", help="number of layers (must match --layer-sizes)")
-    p.add_argument("--layer-sizes", help="comma-separated atoms per layer")
-    p.add_argument("--alphas", help="per-layer compactness weights (one value broadcasts)")
-    p.add_argument("--l1-weight", help="sparsity weight for method ddl")
-    p.add_argument("--iters", help="alternating updates per layer")
-    p.add_argument("--init", choices=("qr", "random"), help="first-layer dictionary init")
-    p.add_argument("--seed", help="base random seed")
-
-
-def _add_knn_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--knn-min", help="smallest neighbor count")
-    p.add_argument("--knn-max", help="largest neighbor count")
-    p.add_argument(
-        "--knn-selection",
-        choices=("best", "cv"),
-        help="report the best k on the curve, or pick k by leave-one-out",
-    )
-
-
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    _add_config_flag(p)
-    _add_data_flags(p)
-    _add_method_flags(p)
-    _add_knn_flags(p)
-    p.add_argument("--h", help="training samples reserved per class")
-    p.add_argument("--replicates", help="number of independent splits")
-    p.add_argument("--workers", help="worker processes for replicates")
+def _add_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """One flag per config key (--layer-sizes sets layer_sizes), with its value as text."""
+    for key in keys:
+        _, kind, help_text = CONFIG_KEYS[key]
+        flag = "--" + key.replace("_", "-")
+        if kind is _BOOL:
+            p.add_argument(flag, action="store_const", const="true", help=help_text)
+        else:
+            p.add_argument(flag, choices=kind.choices, help=help_text)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -210,35 +186,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a whole data file")
     _add_config_flag(p)
-    _add_data_flags(p)
-    _add_method_flags(p)
+    _add_flags(p, _DATA_KEYS + _METHOD_KEYS)
     # Where train, eval and export write is not the config key ``out``.
     p.add_argument("--out", dest="model_dir", required=True, help="model directory to create")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a test file")
     p.add_argument("--model", required=True, help="model directory")
-    _add_data_flags(p)
-    _add_knn_flags(p)
+    _add_flags(p, _DATA_KEYS + _KNN_KEYS)
     p.add_argument("--out", dest="curve_dir", help="directory for the accuracy curve CSV")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("experiment", help="repeated random splits with aggregation")
-    _add_experiment_flags(p)
+    _add_config_flag(p)
+    _add_flags(p, _EXPERIMENT_KEYS)
     p.add_argument("--out", help="directory for report.csv and summary.txt")
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("grid", help="scan compactness weights, report the best")
-    _add_experiment_flags(p)
-    p.add_argument("--alpha-grid", help="comma-separated grid values")
-    p.add_argument("--grid-mode", choices=("shared", "full"),
-                   help="one weight for all layers, or the full per-layer product")
+    _add_config_flag(p)
+    _add_flags(p, _EXPERIMENT_KEYS + ("alpha_grid", "grid_mode"))
     p.add_argument("--out", help="directory for grid.csv")
     p.set_defaults(handler=_cmd_grid)
 
     p = sub.add_parser("export", help="dump per-layer embeddings of training data")
     p.add_argument("--model", required=True, help="model directory")
-    _add_data_flags(p)
+    _add_flags(p, _DATA_KEYS)
     p.add_argument("--out", dest="export_dir", required=True, help="output directory")
     p.set_defaults(handler=_cmd_export)
 

@@ -534,9 +534,9 @@ def per_layer_accuracy(
 
 # --- plain-text configuration files -------------------------------------
 
-# How a config value is read from text, how it is written back, and what a
-# value that fails to parse should have been.
-_Kind = namedtuple("_Kind", "parse render expected")
+# How a config value is read from text, how it is written back, what a value
+# that fails to parse should have been, and the fixed values it may take.
+_Kind = namedtuple("_Kind", "parse render expected choices", defaults=(None,))
 
 
 def _parse_bool(text: str) -> bool:
@@ -549,14 +549,20 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_list(item: Callable[[str], object]) -> Callable[[str], tuple]:
-    return lambda text: tuple(item(tok) for tok in text.split(",") if tok.strip())
+    # An empty item fails to parse; a wholly empty value is an empty list,
+    # which the config's own checks reject.
+    return lambda text: tuple(item(tok) for tok in text.split(",")) if text.strip() else ()
 
 
 def _render_list(item: Callable[[object], str]) -> Callable[[tuple], str]:
     return lambda values: ",".join(map(item, values))
 
 
-_TEXT = _Kind(str, str, "text")
+def _choice(*values: str) -> _Kind:
+    # Parsed as plain text, so a config file's value meets the config's own check.
+    return _Kind(str, str, "text", values)
+
+
 _PATH = _Kind(lambda text: text or None, str, "a path")  # empty means unset
 _INT = _Kind(int, str, "an integer")
 _FLOAT = _Kind(float, _fmt, "a number")
@@ -566,46 +572,50 @@ _FLOATS = _Kind(_parse_list(float), _render_list(_fmt), "comma-separated numbers
 _COUNT = _Kind(int, lambda value: str(len(value)), "an integer")  # the length of a list field
 
 # Every config key: the ExperimentConfig field it sets (a dotted path into a
-# nested spec) and the kind of its value. Config files, command-line flags
+# nested spec), the kind of its value, and the help of its command-line flag,
+# which is the key with dashes (None: config files only). Config files, flags
 # and resolved_config.txt all use these names.
 CONFIG_KEYS = {
-    "method": ("method", _TEXT),
-    "data": ("data_path", _PATH),
-    "format": ("data_format", _TEXT),
-    "labels": ("labels_path", _PATH),
-    "normalize": ("normalize", _BOOL),
-    "synth_classes": ("synthetic.classes", _INT),
-    "synth_per_class": ("synthetic.per_class", _INT),
-    "synth_dim": ("synthetic.dim", _INT),
-    "synth_separation": ("synthetic.separation", _FLOAT),
-    "depth": ("layer_sizes", _COUNT),  # derived; only checked against layer_sizes
-    "layer_sizes": ("layer_sizes", _INTS),
-    "alphas": ("alphas", _FLOATS),
-    "l1_weight": ("l1_weight", _FLOAT),
-    "iters": ("iters_per_layer", _INT),
-    "init": ("init", _TEXT),
-    "seed": ("seed", _INT),
-    "h": ("train_per_class", _INT),
-    "replicates": ("replicates", _INT),
-    "knn_min": ("knn.k_min", _INT),
-    "knn_max": ("knn.k_max", _INT),
-    "knn_selection": ("knn.selection", _TEXT),
-    "alpha_grid": ("alpha_grid", _FLOATS),
-    "grid_mode": ("grid_mode", _TEXT),
-    "workers": ("workers", _INT),
-    "out": ("out_dir", _PATH),
+    "method": ("method", _choice("ddl", "ddlic"), "training method"),
+    "data": ("data_path", _PATH, "labeled data file"),
+    "format": ("data_format", _choice("dense", "pair"), "data file layout"),
+    "labels": ("labels_path", _PATH, "separate label file (pair format)"),
+    "normalize": ("normalize", _BOOL, "scale each sample to unit norm on load"),
+    "synth_classes": ("synthetic.classes", _INT, None),
+    "synth_per_class": ("synthetic.per_class", _INT, None),
+    "synth_dim": ("synthetic.dim", _INT, None),
+    "synth_separation": ("synthetic.separation", _FLOAT, None),
+    "depth": ("layer_sizes", _COUNT, "number of layers (must match --layer-sizes)"),  # derived
+    "layer_sizes": ("layer_sizes", _INTS, "comma-separated atoms per layer"),
+    "alphas": ("alphas", _FLOATS, "per-layer compactness weights (one value broadcasts)"),
+    "l1_weight": ("l1_weight", _FLOAT, "sparsity weight for method ddl"),
+    "iters": ("iters_per_layer", _INT, "alternating updates per layer"),
+    "init": ("init", _choice("qr", "random"), "first-layer dictionary init"),
+    "seed": ("seed", _INT, "base random seed"),
+    "h": ("train_per_class", _INT, "training samples reserved per class"),
+    "replicates": ("replicates", _INT, "number of independent splits"),
+    "knn_min": ("knn.k_min", _INT, "smallest neighbor count"),
+    "knn_max": ("knn.k_max", _INT, "largest neighbor count"),
+    "knn_selection": ("knn.selection", _choice("best", "cv"),
+                      "report the best k on the curve, or pick k by leave-one-out"),
+    "alpha_grid": ("alpha_grid", _FLOATS, "comma-separated grid values"),
+    "grid_mode": ("grid_mode", _choice("shared", "full"),
+                  "one weight for all layers, or the full per-layer product"),
+    "workers": ("workers", _INT, "worker processes for replicates"),
+    "out": ("out_dir", _PATH, None),
 }
 
-_SYNTH_KEYS = tuple(key for key, (path, _) in CONFIG_KEYS.items() if path.startswith("synthetic"))
+_SYNTH_KEYS = tuple(key for key, (path, *_) in CONFIG_KEYS.items() if path.startswith("synthetic"))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a plain-text ``key=value`` configuration file.
 
-    Blank lines and lines starting with ``#`` are ignored. Unknown keys are
-    rejected so typos fail loudly.
+    Blank lines and lines starting with ``#`` are ignored. Unknown keys and
+    keys set twice are rejected so typos fail loudly.
     """
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -617,6 +627,9 @@ def parse_config_file(path: str) -> dict[str, str]:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             values[key] = value.strip()
     return values
 
@@ -673,7 +686,7 @@ def resolved_config_text(cfg: ExperimentConfig) -> str:
     output directory) are left out.
     """
     lines = []
-    for key, (path, kind) in CONFIG_KEYS.items():
+    for key, (path, kind, _) in CONFIG_KEYS.items():
         value = cfg
         for name in path.split("."):
             value = None if value is None else getattr(value, name)

@@ -1,12 +1,14 @@
 """End-to-end command-line flows in temp directories."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from deepdict.cli import main
+from deepdict.cli import _build_parser, _gather_values, main
 from deepdict.data import load_labeled_matrix
+from deepdict.harness import CONFIG_KEYS
 
 
 @pytest.fixture()
@@ -340,4 +342,73 @@ def test_experiment_rejects_non_finite_settings(tmp_path, dataset, capsys, flags
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert key in err and "finite" in err
+    assert not out.exists()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# What each subcommand needs besides its config-key flags; none of it is a config key.
+REQUIRED = {
+    "train": ["--out", "m"],
+    "eval": ["--model", "m"],
+    "experiment": [],
+    "grid": [],
+    "export": ["--model", "m", "--out", "e"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_each_flag_reaches_its_config_key(command):
+    parser = _subcommands()[command]
+    actions = {flag: action for action in parser._actions for flag in action.option_strings}
+    flagged = [key for key, (_, _, help_text) in CONFIG_KEYS.items() if help_text is not None]
+    checked = set()
+    for key in flagged:
+        action = actions.get("--" + key.replace("_", "-"))
+        if action is None:
+            continue
+        if action.nargs == 0:  # a switch
+            argv, value = [action.option_strings[0]], "true"
+        else:
+            value = action.choices[-1] if action.choices else "7"
+            argv = [action.option_strings[0], value]
+        args = parser.parse_args(REQUIRED[command] + argv)
+        assert _gather_values(args) == {key: value}, key
+        checked.add(key)
+    assert {"data", "format", "labels", "normalize"} <= checked
+
+
+def test_grid_flags_are_every_config_key_but_synth_and_out():
+    flags = {flag for action in _subcommands()["grid"]._actions for flag in action.option_strings}
+    keys = {key for key in CONFIG_KEYS if not key.startswith("synth_")} - {"out"}
+    assert flags - {"-h", "--help", "--config", "--out"} == {
+        "--" + key.replace("_", "-") for key in keys
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flags, key, expected",
+    [
+        ("train", ["--layer-sizes", "6,,4"], "layer_sizes", "integers"),
+        ("train", ["--layer-sizes", "6,4,"], "layer_sizes", "integers"),
+        ("train", ["--layer-sizes", "6,4", "--alphas", "1e-3,,1e-2"], "alphas", "numbers"),
+        ("grid", ["--layer-sizes", "6,4", "--alpha-grid", "1e-3,,1e-2"], "alpha_grid", "numbers"),
+    ],
+)
+def test_empty_list_item_flag_fails_naming_its_key(
+    tmp_path, dataset, capsys, command, flags, key, expected
+):
+    out = tmp_path / "out"
+    common = ["--data", str(dataset), "--iters", "2", "--out", str(out)]
+    if command == "grid":
+        common += ["--h", "5", "--replicates", "1"]
+    capsys.readouterr()
+    assert main([command] + common + flags) == 1
+    value = flags[-1]
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r}: expected comma-separated {expected}, got {value!r}\n"
+    )
     assert not out.exists()

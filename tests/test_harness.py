@@ -16,7 +16,7 @@ import scipy
 
 from deepdict import harness
 from deepdict.classify import KnnConfig
-from deepdict.data import make_synthetic_clusters
+from deepdict.data import make_synthetic_clusters, save_labeled_matrix
 from deepdict.harness import (
     DEFAULT_ALPHA_GRID,
     ExperimentConfig,
@@ -80,6 +80,40 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _synthetic_config(tmp_path, **overrides):
+    return small_config(**overrides)
+
+
+def _data_file_config(tmp_path, **overrides):
+    """Every key that a synthetic config leaves at its default, set off it."""
+    features, labels = tmp_path / "features.txt", tmp_path / "labels.txt"
+    data = make_synthetic_clusters(3, 8, 10, 5.0, seed=2)
+    save_labeled_matrix(data, str(features), "pair", str(labels))
+    return ExperimentConfig(
+        data_path=str(features),
+        data_format="pair",
+        labels_path=str(labels),
+        normalize=True,
+        method="ddl",
+        layer_sizes=(6, 4),
+        alphas=(1e-2, 1e-4),
+        l1_weight=0.05,
+        iters_per_layer=2,
+        init="random",
+        seed=3,
+        train_per_class=4,
+        replicates=2,
+        knn=KnnConfig(2, 7, "cv"),
+        alpha_grid=(1e-4, 1e-2),
+        grid_mode="full",
+        workers=2,
+        **overrides,
+    )
+
+
+ROUND_TRIP_CONFIGS = [_synthetic_config, _data_file_config]
 
 
 class RecordingPool:
@@ -340,15 +374,24 @@ class TestRunExperiment:
         run_experiment(small_config(out_dir=str(out2)))
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
-    def test_resolved_config_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("make_config", ROUND_TRIP_CONFIGS, ids=["synthetic", "data_file"])
+    def test_resolved_config_round_trips(self, tmp_path, make_config):
         out = tmp_path / "exp"
-        cfg = small_config(out_dir=str(out))
+        cfg = make_config(tmp_path, out_dir=str(out))
         run_experiment(cfg)
         text = (out / "resolved_config.txt").read_text()
         path = tmp_path / "c.cfg"
         path.write_text(text)
         rebuilt = build_experiment_config(parse_config_file(str(path)))
         assert rebuilt == cfg
+
+    def test_round_trip_inputs_set_every_key_off_its_default(self, tmp_path):
+        default = set(resolved_config_text(ExperimentConfig()).splitlines())
+        changed = set()
+        for make_config in ROUND_TRIP_CONFIGS:
+            lines = resolved_config_text(make_config(tmp_path, out_dir="out")).splitlines()
+            changed |= {line.partition("=")[0] for line in lines if line not in default}
+        assert changed == set(harness.CONFIG_KEYS)
 
 
 class TestGridSearch:
@@ -554,6 +597,44 @@ class TestConfigFiles:
         path.write_text("# a comment\n\ndata=x.csv\nseed=7\n")
         values = parse_config_file(str(path))
         assert values == {"data": "x.csv", "seed": "7"}
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("# a comment\ndata=x.csv\nseed=1\nseed=2\n")
+        with pytest.raises(ValueError) as err:
+            parse_config_file(str(path))
+        assert str(err.value) == f"{path}:4: key 'seed' already set on line 3"
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("layer_sizes", "16,,8", "integers"),
+            ("layer_sizes", "16,12,", "integers"),
+            ("alphas", "1e-3,,1e-2,1e-1", "numbers"),
+            ("alpha_grid", "1e-3,,1e-2", "numbers"),
+        ],
+    )
+    def test_empty_list_item_rejected(self, tmp_path, key, value, expected):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"data=x.csv\n{key}={value}\n")
+        with pytest.raises(ValueError) as err:
+            build_experiment_config(parse_config_file(str(path)))
+        assert str(err.value) == (
+            f"config key {key!r}: expected comma-separated {expected}, got {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("layer_sizes", "depth must be >= 1"),
+            ("alphas", "alphas must have 1 or 3 values, got 0"),
+            ("alpha_grid", "alpha_grid must be non-empty"),
+        ],
+    )
+    def test_wholly_empty_list_meets_the_config_check(self, key, message):
+        for value in ("", " "):
+            with pytest.raises(ValueError, match=message):
+                build_experiment_config({"data": "x.csv", key: value})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

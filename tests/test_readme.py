@@ -1,8 +1,10 @@
 """The README's reference sections agree with the code they describe."""
 
 import re
+import shlex
 from pathlib import Path
 
+from deepdict.cli import main
 from deepdict.harness import CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +40,22 @@ def test_quickstart_reads_only_files_it_wrote():
         for path in re.findall(r"--(?:data|model) (\S+)", command):
             assert path.rstrip("/") in written, f"{command!r} reads {path}, which nothing wrote"
         written.update(p.rstrip("/") for p in re.findall(r"(?:--out|>) (\S+)", command))
+
+
+def test_quickstart_eval_prints_the_stated_figure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command in _quickstart_commands():
+        split = re.fullmatch(r"awk 'NR % 4 (==|!=) 0' (\S+) > (\S+)", command)
+        if split:
+            keep, source, target = split.groups()
+            lines = Path(source).read_text().splitlines(keepends=True)
+            held_out = keep == "=="
+            Path(target).write_text(
+                "".join(line for n, line in enumerate(lines, 1) if (n % 4 == 0) == held_out)
+            )
+        elif re.match(r"deepdict (synth|train|eval) ", command):
+            assert main(shlex.split(command)[1:]) == 0, command
+    out = capsys.readouterr().out
+    k, accuracy = re.search(r"^selected k=(\d+) accuracy=(\S+)$", out, re.M).groups()
+    stated = re.search(r"here `k=(\d+)`, accuracy ([\d.]+)", README.read_text()).groups()
+    assert (k, f"{float(accuracy):.3f}") == stated
