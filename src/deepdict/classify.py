@@ -8,6 +8,7 @@ inputs are identical.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,6 +29,12 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a neighbor count that is not an integer; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KnnConfig:
     """Neighbor-size sweep settings.
@@ -43,6 +50,8 @@ class KnnConfig:
     selection: str = "best"
 
     def __post_init__(self) -> None:
+        _check_count("k_min", self.k_min)
+        _check_count("k_max", self.k_max)
         if self.k_min < 1:
             raise ValueError("k_min must be >= 1")
         if self.k_max < self.k_min:
@@ -99,21 +108,31 @@ def code_test_ddlic(model: "DdlicModel", test_features: np.ndarray) -> np.ndarra
     return code_layers(model.dictionaries, test_features, model.config.ridge)[-1]
 
 
-def _pairwise_euclidean(train_codes: np.ndarray, test_codes: np.ndarray) -> np.ndarray:
-    """(n_test, n_train) Euclidean distances between columns, one row per test column.
+# Row blocks of distances stay within this many bytes, so ranking neighbors
+# adds little to the one (n_train, n_queries) product matrix.
+_BLOCK_BYTES = 1 << 20
 
-    Entry ``[j, i]`` is ``sqrt(max((|a_i|^2 + |b_j|^2) - 2 * (A^T B)[i, j], 0))``
-    from the product ``A^T B`` of the training codes ``A`` and the test
-    codes ``B``, evaluated in place in one C-ordered buffer.
+
+def _distance_blocks(
+    train_codes: np.ndarray, query_codes: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Euclidean distances from query columns to training columns, a block of rows at a time.
+
+    Yields ``(lo, dist)``: row ``j`` of the C-ordered ``dist`` holds query
+    column ``lo + j``'s distances to every training column. Entry ``[j, i]``
+    is ``sqrt(max((|a_i|^2 + |b|^2) - 2 * (A^T B)[i, lo + j], 0))``, from one
+    product ``A^T B`` of the training codes ``A`` and the query codes ``B``.
     """
     train_sq = np.sum(train_codes * train_codes, axis=0)
-    test_sq = np.sum(test_codes * test_codes, axis=0)
-    cross = train_codes.T @ test_codes
+    query_sq = np.sum(query_codes * query_codes, axis=0)
+    cross = train_codes.T @ query_codes
     cross *= 2.0
-    dist = np.add.outer(test_sq, train_sq)
-    dist -= cross.T
-    np.maximum(dist, 0.0, out=dist)
-    return np.sqrt(dist, out=dist)
+    step = max(1, _BLOCK_BYTES // (8 * train_codes.shape[1]))
+    for lo in range(0, query_codes.shape[1], step):
+        dist = np.add.outer(query_sq[lo : lo + step], train_sq)
+        dist -= cross[:, lo : lo + step].T
+        np.maximum(dist, 0.0, out=dist)
+        yield lo, np.sqrt(dist, out=dist)
 
 
 def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndarray) -> np.ndarray:
@@ -128,49 +147,90 @@ def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndar
     return labels
 
 
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` columns (k <= row length) of each row's stable ``argsort``.
+def _rank_rows(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``k`` (k <= row length) stable-``argsort`` columns and their distances.
 
     Partitions out ``k`` columns per row and stable-sorts only those, in
     index order, so equal distances rank by column index. The partition
     takes an arbitrary subset of the columns tied at the k-th distance; a
-    row where it had a choice (more than ``k`` columns within that
-    distance) is ranked in full instead.
+    row where it had a choice (its (k+1)-th smallest distance, read from the
+    same partition, equals its k-th) is ranked in full instead.
     """
-    cols = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    n_cols = dist.shape[1]
+    part = np.argpartition(dist, min(k, n_cols - 1), axis=1)
+    cols = part[:, :k]
     cols.sort(axis=1)
     ranks = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
     cols = np.take_along_axis(cols, ranks, axis=1)
-    kth = np.take_along_axis(dist, cols[:, -1:], axis=1)
-    choice = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
-    cols[choice] = np.argsort(dist[choice], axis=1, kind="stable")[:, :k]
-    return cols
+    near = np.take_along_axis(dist, cols, axis=1)
+    if k < n_cols:
+        beyond = np.take_along_axis(dist, part[:, k : k + 1], axis=1)
+        choice = np.flatnonzero(beyond[:, 0] <= near[:, -1])
+        cols[choice] = np.argsort(dist[choice], axis=1, kind="stable")[:, :k]
+        near[choice] = np.take_along_axis(dist[choice], cols[choice], axis=1)
+    return cols, near
 
 
-def _sweep_votes(dist: np.ndarray, train_labels: np.ndarray, ks: list[int]) -> np.ndarray:
-    """Winning label of every row's k nearest columns of ``dist``, one row per k in ``ks``.
+def _running_votes(
+    near_ids: np.ndarray, near_dist: np.ndarray, n_classes: int, ks: list[int]
+) -> np.ndarray:
+    """Winning class id of each row's first k neighbors, one row per k in ``ks``.
 
-    Each label's votes and distance sum accumulate rank by rank, nearest
-    neighbor first; the winner has the most votes, then the smaller sum,
-    then the smaller label.
+    ``near_ids`` and ``near_dist`` hold each row's neighbors' class ids and
+    distances, nearest first. Each class's votes and distance sum
+    accumulate rank by rank; the winner has the most votes, then the
+    smaller sum, then the smaller id. A vote changes only the key of the
+    class it lands on, so the new winner is the old one or that class: one
+    running winner per row replaces a scan over every class at each k.
     """
-    nearest = _nearest(dist, max(ks))
-    classes, class_ids = np.unique(train_labels, return_inverse=True)
-    # rank-major copies: row r holds every test row's r-th neighbor
-    near_ids = np.ascontiguousarray(class_ids[nearest].T)
-    near_dist = np.ascontiguousarray(np.take_along_axis(dist, nearest, axis=1).T)
-    rows = np.arange(dist.shape[0])
-    counts = np.zeros((dist.shape[0], classes.size), dtype=np.int64)
+    n_rows = near_ids.shape[0]
+    rows = np.arange(n_rows)
+    counts = np.zeros((n_rows, n_classes), dtype=np.int64)
     sums = np.zeros(counts.shape)
-    winners = np.empty((len(ks), dist.shape[0]), dtype=np.int64)
-    for rank, (ids, d) in enumerate(zip(near_ids, near_dist), start=1):
+    best = np.zeros(n_rows, dtype=np.int64)
+    best_count = np.zeros(n_rows, dtype=np.int64)
+    best_sum = np.zeros(n_rows)
+    winners = np.empty((len(ks), n_rows), dtype=np.int64)
+    # rank-major copies: row r holds every row's r-th neighbor
+    rank_ids = np.ascontiguousarray(near_ids.T)
+    rank_dist = np.ascontiguousarray(near_dist.T)
+    for rank, (ids, d) in enumerate(zip(rank_ids, rank_dist), start=1):
         counts[rows, ids] += 1
         sums[rows, ids] += d
+        count, total = counts[rows, ids], sums[rows, ids]
+        won = (count > best_count) | (
+            (count == best_count) & ((total < best_sum) | ((total == best_sum) & (ids < best)))
+        )
+        best[won], best_count[won], best_sum[won] = ids[won], count[won], total[won]
         if rank in ks:
-            # classes ascend, so argmin's first minimum is the smaller label
-            top = counts == counts.max(axis=1, keepdims=True)
-            winners[ks.index(rank)] = classes[np.argmin(np.where(top, sums, np.inf), axis=1)]
+            winners[ks.index(rank)] = best
     return winners
+
+
+def _sweep_votes(
+    train_codes: np.ndarray,
+    train_labels: np.ndarray,
+    query_codes: np.ndarray,
+    ks: list[int],
+    leave_one_out: bool = False,
+) -> np.ndarray:
+    """Winning label of every query's k nearest training columns, one row per k in ``ks``.
+
+    Only each query's ``max(ks)`` nearest columns and their distances
+    outlive a block of distance rows. With ``leave_one_out`` the queries
+    are the training codes themselves and each column's own distance is
+    masked.
+    """
+    k = max(ks)
+    cols = np.empty((query_codes.shape[1], k), dtype=np.intp)
+    near = np.empty(cols.shape)
+    for lo, dist in _distance_blocks(train_codes, query_codes):
+        rows = np.arange(lo, lo + dist.shape[0])
+        if leave_one_out:
+            dist[rows - lo, rows] = np.inf
+        cols[rows], near[rows] = _rank_rows(dist, k)
+    classes, class_ids = np.unique(train_labels, return_inverse=True)
+    return classes[_running_votes(class_ids[cols], near, classes.size, ks)]
 
 
 def knn_predict(
@@ -180,13 +240,14 @@ def knn_predict(
     k: int,
 ) -> np.ndarray:
     """Majority vote over the k nearest training columns, per test column."""
+    _check_count("k", k)
     n_train = train_codes.shape[1]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n_train:
         raise ValueError(f"k={k} exceeds the {n_train} training samples")
     labels = _check_knn_inputs(train_codes, train_labels, test_codes)
-    return _sweep_votes(_pairwise_euclidean(train_codes, test_codes), labels, [k])[0]
+    return _sweep_votes(train_codes, labels, test_codes, [k])[0]
 
 
 def _loocv_neighbor_choice(
@@ -196,9 +257,8 @@ def _loocv_neighbor_choice(
     valid = [k for k in ks if k <= train_codes.shape[1] - 1]
     if not valid:
         return ks[0]
-    dist = _pairwise_euclidean(train_codes, train_codes)
-    np.fill_diagonal(dist, np.inf)
-    accuracies = np.mean(_sweep_votes(dist, train_labels, valid) == train_labels, axis=1)
+    votes = _sweep_votes(train_codes, train_labels, train_codes, valid, leave_one_out=True)
+    accuracies = np.mean(votes == train_labels, axis=1)
     return valid[int(np.argmax(accuracies))]  # first max: smallest such k
 
 
@@ -225,8 +285,7 @@ def evaluate_accuracy(
     if not ks:
         raise ValueError("no valid neighbor size: training set is too small")
 
-    dist = _pairwise_euclidean(train_codes, test_codes)
-    accuracies = np.mean(_sweep_votes(dist, labels, ks) == targets, axis=1)
+    accuracies = np.mean(_sweep_votes(train_codes, labels, test_codes, ks) == targets, axis=1)
     best_pos = int(np.argmax(accuracies))  # first max: smallest such k
     best_k = ks[best_pos]
     best_accuracy = float(accuracies[best_pos])

@@ -1,15 +1,18 @@
 """Nearest-neighbor prediction, tie rules, accuracy sweeps, test-side coding."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepdict import classify
 from deepdict.classify import (
     KnnConfig,
-    _pairwise_euclidean,
+    _distance_blocks,
+    _running_votes,
     code_layers,
     code_test_ddlic,
     evaluate_accuracy,
@@ -126,6 +129,33 @@ class TestKnnPredict:
         labels = np.array([42, -7])
         test = np.array([[0.2, 4.9]])
         assert knn_predict(train, labels, test, 1).tolist() == [42, -7]
+
+
+class TestNeighborCounts:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k_max", 5.0), ("k_max", float("nan")), ("k_min", True), ("k_max", np.float64(9)),
+         ("k_min", "1")],
+        ids=["float", "nan", "bool", "numpy-float", "text"],
+    )
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            KnnConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "k", [2.0, True, np.float64(2), np.bool_(True)],
+        ids=["float", "bool", "numpy-float", "numpy-bool"],
+    )
+    def test_predict_rejects_non_integer_counts(self, k):
+        train, labels = np.eye(3), np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_predict(train, labels, np.zeros((3, 1)), k)
+
+    def test_numpy_integers_are_counts(self):
+        train, labels, test = np.eye(3), np.array([0, 1, 1]), np.zeros((3, 2))
+        cfg = KnnConfig(np.int64(1), np.int32(3))
+        assert evaluate_accuracy(train, labels, test, np.array([1, 1]), cfg).ks == (1, 2, 3)
+        assert knn_predict(train, labels, test, np.int64(3)).tolist() == [1, 1]
 
 
 class TestEvaluateAccuracy:
@@ -361,8 +391,11 @@ class TestTestMajorLayout:
         dim, n_train, n_test = shape
         rng = RNG(31)
         train, test = rng.normal(size=(dim, n_train)), rng.normal(size=(dim, n_test))
-        got = _pairwise_euclidean(train, test)
-        assert got.shape == (n_test, n_train) and got.flags.c_contiguous
+        blocks = list(_distance_blocks(train, test))
+        step = blocks[0][1].shape[0]
+        assert [lo for lo, _ in blocks] == list(range(0, n_test, step))
+        assert all(d.shape[1] == n_train and d.flags.c_contiguous for _, d in blocks)
+        got = np.concatenate([d for _, d in blocks])
         assert np.array_equal(got, _train_major_distances(train, test).T)
 
     @pytest.mark.parametrize("selection", ["best", "cv"])
@@ -380,6 +413,121 @@ class TestTestMajorLayout:
         assert np.array_equal(rep.accuracies, accuracies)
         assert rep.selected_k == selected
         assert rep.selected_accuracy == accuracies[selected - 1]
+
+
+def _set_block_rows(monkeypatch, n_train, rows):
+    """Make every distance block hold ``rows`` query rows against ``n_train`` columns."""
+    monkeypatch.setattr(classify, "_BLOCK_BYTES", 8 * n_train * rows)
+
+
+def _tie_heavy_case(seed, n_train, n_test, n_classes=5):
+    rng = RNG(seed)
+    train = rng.integers(-2, 3, size=(2, n_train)).astype(float)
+    test = rng.integers(-2, 3, size=(2, n_test)).astype(float)
+    labels = rng.integers(0, n_classes, size=n_train) * 3 - 1
+    targets = rng.integers(0, n_classes, size=n_test) * 3 - 1
+    return train, labels, test, targets
+
+
+class TestNeighborBlocks:
+    BLOCK = 8
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    @pytest.mark.parametrize("n_test", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_query_counts_at_block_edges(self, monkeypatch, n_test, selection):
+        n_train = 2 * self.BLOCK + 3  # leave-one-out queries span three blocks too
+        _set_block_rows(monkeypatch, n_train, self.BLOCK)
+        train, labels, test, targets = _tie_heavy_case(60 + n_test, n_train, n_test)
+        cfg = KnnConfig(1, 12, selection)
+        rep = evaluate_accuracy(train, labels, test, targets, cfg)
+        accuracies, selected = _train_major_accuracy(train, labels, test, targets, cfg)
+        assert np.array_equal(rep.accuracies, accuracies)
+        assert rep.selected_k == selected
+        for k in (1, 5, 12):
+            assert np.array_equal(
+                knn_predict(train, labels, test, k), oracle_predict(train, labels, test, k)
+            )
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    @pytest.mark.parametrize("k_min, k_max", [(1, 11), (3, 11), (4, 40), (11, 11)])
+    def test_neighbor_ranges_reaching_the_training_size(self, monkeypatch, k_min, k_max, selection):
+        n_train = 11
+        _set_block_rows(monkeypatch, n_train, 3)
+        train, labels, test, targets = _tie_heavy_case(70 + k_min, n_train, 10)
+        cfg = KnnConfig(k_min, k_max, selection)
+        rep = evaluate_accuracy(train, labels, test, targets, cfg)
+        accuracies, selected = _train_major_accuracy(train, labels, test, targets, cfg)
+        assert rep.ks == tuple(range(k_min, n_train + 1))
+        assert np.array_equal(rep.accuracies, accuracies)
+        assert rep.selected_k == selected
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_leave_one_out_with_duplicate_training_columns(self, monkeypatch, block):
+        # each point three times, under different labels: every column's
+        # twins tie with it, and only its own distance may be masked
+        rng = RNG(80 + block)
+        base = rng.integers(-1, 2, size=(2, 7)).astype(float)
+        train = np.concatenate([base, base, base], axis=1)
+        labels = rng.integers(0, 3, size=train.shape[1])
+        _set_block_rows(monkeypatch, train.shape[1], block)
+        test, targets = base[:, :5] + 0.5, labels[:5]
+        cfg = KnnConfig(1, 9, "cv")
+        rep = evaluate_accuracy(train, labels, test, targets, cfg)
+        accuracies, selected = _train_major_accuracy(train, labels, test, targets, cfg)
+        assert np.array_equal(rep.accuracies, accuracies)
+        assert rep.selected_k == selected == _oracle_loo_choice(train, labels, list(rep.ks))
+
+    def test_cv_evaluation_keeps_one_product_matrix(self):
+        # the parent layout kept three (n_train, n_test) matrices alive at once
+        rng = RNG(90)
+        n = 1200
+        train, test = rng.normal(size=(24, n)), rng.normal(size=(24, n))
+        labels, targets = rng.integers(0, 40, size=n), rng.integers(0, 40, size=n)
+        tracemalloc.start()
+        try:
+            evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 30, "cv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
+
+
+def _recount_votes(near_ids, near_dist, n_classes, ks):
+    """Reference: rescan every class's votes and distance sum at each k."""
+    rows = np.arange(near_ids.shape[0])
+    counts = np.zeros((near_ids.shape[0], n_classes), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    winners = []
+    for rank in range(1, max(ks) + 1):
+        counts[rows, near_ids[:, rank - 1]] += 1
+        sums[rows, near_ids[:, rank - 1]] += near_dist[:, rank - 1]
+        if rank in ks:
+            # argmin's first minimum is the smaller class id
+            top = counts == counts.max(axis=1, keepdims=True)
+            winners.append(np.argmin(np.where(top, sums, np.inf), axis=1))
+    return np.array(winners)
+
+
+@st.composite
+def _vote_case(draw):
+    """Neighbor class ids and nondecreasing distances from a few values, so keys tie often."""
+    n_classes = draw(st.integers(1, 60))
+    n_rows, k = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    used = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=4))
+    ids = draw(st.lists(st.sampled_from(used), min_size=n_rows * k, max_size=n_rows * k))
+    values = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    dist = draw(st.lists(values, min_size=n_rows * k, max_size=n_rows * k))
+    ks = sorted(draw(st.sets(st.integers(1, k), min_size=1)) | {k})
+    near_dist = np.sort(np.array(dist).reshape(n_rows, k), axis=1)
+    return np.array(ids, dtype=np.intp).reshape(n_rows, k), near_dist, n_classes, ks
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_vote_case())
+def test_running_winner_matches_a_full_recount(case):
+    near_ids, near_dist, n_classes, ks = case
+    got = _running_votes(near_ids, near_dist, n_classes, ks)
+    assert np.array_equal(got, _recount_votes(near_ids, near_dist, n_classes, ks))
 
 
 class TestTestSideCoding:
