@@ -20,8 +20,8 @@ from .kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
     RidgePolicy,
-    check_stack_settings,
-    check_trained_stack,
+    _check_stack_settings,
+    _check_trained_stack,
     initial_dictionary,
     ista_sparse_code,
     ridge_code,
@@ -63,7 +63,7 @@ class TrainConfig:
     ridge: RidgePolicy = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        check_stack_settings(self)
+        _check_stack_settings(self)
         if not 0 <= self.l1_weight < math.inf:
             raise ValueError("l1_weight must be finite and >= 0")
 
@@ -80,7 +80,7 @@ class DdlModel:
 
     def __post_init__(self) -> None:
         codes = [None] * (len(self.dictionaries) - 1) + [self.train_repr]
-        check_trained_stack(self.config, self.dictionaries, codes, self.traces, self.labels)
+        _check_trained_stack(self.config, self.dictionaries, codes, self.traces, self.labels)
 
     @property
     def l1_weight(self) -> float:

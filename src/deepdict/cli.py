@@ -21,6 +21,7 @@ from .data import make_synthetic_clusters, save_labeled_matrix
 from .harness import (
     _BOOL,
     CONFIG_KEYS,
+    _require_a_replicate,
     build_experiment_config,
     code_test,
     export_embeddings,
@@ -119,7 +120,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfg = build_experiment_config(_gather_values(args))
-    report = run_experiment(cfg)
+    report = run_experiment(cfg)  # writes the report files, failed replicates included
+    _require_a_replicate([report], "replicate")
     print(f"method: {report.method}")
     print(f"replicates: {len(report.replicates)} ({report.n_failed} failed)")
     print(f"mean_accuracy: {report.mean_accuracy!r}")

@@ -448,6 +448,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def _require_a_replicate(reports: list[ExperimentReport], what: str) -> None:
+    """Raise with the first replicate error when every replicate of ``reports`` failed."""
+    if all(report.n_failed == len(report.replicates) for report in reports):
+        first = reports[0].replicates[0].error
+        raise ValueError(f"every {what} failed; first replicate error: {first}")
+
+
 def grid_search_alpha(
     cfg: ExperimentConfig, data: LabeledMatrix | None = None
 ) -> tuple[tuple[float, ...], list[ExperimentReport]]:
@@ -474,9 +481,7 @@ def grid_search_alpha(
     with _replicate_pool(cfg.workers, len(cells) * cfg.replicates) as pool:
         pending = [None if pool is None else _submit_replicates(pool, cell, data) for cell in cells]
         reports = [evaluate_experiment(cell, data, pending=p) for cell, p in zip(cells, pending)]
-    if all(report.n_failed == cfg.replicates for report in reports):
-        first = reports[0].replicates[0].error
-        raise ValueError(f"every grid cell failed; first replicate error: {first}")
+    _require_a_replicate(reports, "grid cell")
     best = max(reports, key=lambda report: np.nan_to_num(report.mean_accuracy, nan=-math.inf))
     return best.alphas, reports
 

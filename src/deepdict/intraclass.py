@@ -20,11 +20,11 @@ from .data import LabeledMatrix
 from .kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
+    _check_stack_settings,
+    _check_trained_stack,
     _require_finite,
     _ridged_factor,
     _solve_factored,
-    check_stack_settings,
-    check_trained_stack,
     solve_least_squares_dictionary,
 )
 # Not called here: bench/bench_trace.py wraps ridge_code in every module
@@ -59,7 +59,7 @@ class DdlicConfig:
     ridge: RidgePolicy = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        check_stack_settings(self)
+        _check_stack_settings(self)
         if len(self.alphas) != self.depth:
             raise ValueError("alphas length must equal depth")
         if not all(0 <= a < math.inf for a in self.alphas):
@@ -77,7 +77,7 @@ class DdlicModel:
     labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        check_trained_stack(
+        _check_trained_stack(
             self.config, self.dictionaries, self.layer_reprs, self.traces, self.labels
         )
 

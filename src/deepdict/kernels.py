@@ -25,8 +25,6 @@ __all__ = [
     "qr_orthonormal_init",
     "random_dictionary_init",
     "initial_dictionary",
-    "check_stack_settings",
-    "check_trained_stack",
     "gram_spectral_norm",
     "ista_sparse_code",
     "sparse_objective",
@@ -246,7 +244,7 @@ def initial_dictionary(
     return random_dictionary_init(inputs.shape[0], n_atoms, seed + layer)
 
 
-def check_stack_settings(cfg) -> None:
+def _check_stack_settings(cfg) -> None:
     """Reject stack settings that neither trainer can run.
 
     ``cfg`` is either trainer's config; both call this, so they validate the
@@ -266,7 +264,7 @@ def check_stack_settings(cfg) -> None:
         raise ValueError("seed must be non-negative")
 
 
-def check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
+def _check_trained_stack(cfg, dictionaries, codes, traces, labels) -> None:
     """Reject a trained stack whose parts do not fit its settings or each other.
 
     ``codes`` holds each layer's training codes, ``None`` for a layer whose

@@ -1,9 +1,14 @@
 """Directory serialization for trained models.
 
-A model directory holds one plain-text matrix file per dictionary, the
-stored training codes, an optional training-label file, and a JSON
-metadata file. Matrices are written with 17 significant digits, so a
-save/load round trip reproduces every float exactly.
+A model directory holds one binary NumPy ``.npy`` file per matrix (each
+dictionary, the stored training codes and the optional training labels)
+and a JSON metadata file. A ``.npy`` file keeps every bit and the dtype, so
+a save/load round trip reproduces each array exactly. Directories written
+by earlier versions hold the same matrices as text files (``.txt``, 17
+significant digits); they still load. One directory uses one format:
+``dictionary_01.npy`` present means every matrix is read as ``.npy``.
+Saving into a directory first removes the matrix files, in either format,
+that an earlier save left there, and nothing else.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,11 +27,8 @@ from .kernels import IstaConfig, RidgePolicy
 
 __all__ = ["save_model", "load_model"]
 
-_MATRIX_FMT = "%.17g"
-
-
-def _write_matrix(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, matrix, fmt=_MATRIX_FMT)
+# The matrix files save_model writes, in either format; a re-save removes them first.
+_MODEL_FILE = re.compile(r"(dictionary_\d+|layer_repr_\d+|train_repr|train_labels)\.(npy|txt)")
 
 
 @contextmanager
@@ -37,7 +40,7 @@ def _naming(path: str):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_array(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
+def _read_array(path: str, dtype, ndmin: int) -> np.ndarray:
     with open(path) as fh, _naming(path):
         # np.loadtxt only warns about a file without a data line
         if not any(line.strip() and not line.lstrip().startswith("#") for line in fh):
@@ -46,17 +49,48 @@ def _read_array(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
         return np.loadtxt(fh, dtype=dtype, ndmin=ndmin)
 
 
+def _read_npy(path: str, dtype, ndim: int) -> np.ndarray:
+    with open(path, "rb") as fh, _naming(path):
+        # np.load would take any other file for a pickle or an .npz archive
+        magic = fh.read(len(np.lib.format.MAGIC_PREFIX))
+        if magic != np.lib.format.MAGIC_PREFIX:
+            raise ValueError("not a .npy file" if magic else "file holds no values")
+        fh.seek(0)
+        array = np.load(fh, allow_pickle=False)
+        if array.dtype != dtype or array.ndim != ndim:
+            raise ValueError(
+                f"holds a {array.ndim}-D {array.dtype} array; expected {ndim}-D {np.dtype(dtype)}"
+            )
+        return array
+
+
+def _read_matrix(path: str, dtype=np.float64, ndim: int = 2) -> np.ndarray:
+    """One model array from a ``.npy`` or an earlier version's text file."""
+    read = _read_npy if path.endswith(".npy") else _read_array
+    array = read(path, dtype, ndim)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path}: values must be finite")
+    return array
+
+
 def save_model(model, out_dir: str) -> None:
     """Serialize a trained model into a directory (created if missing)."""
     if not isinstance(model, (DdlicModel, DdlModel)):
         raise TypeError(f"cannot serialize object of type {type(model).__name__}")
     dataclasses.replace(model)  # re-runs the model's check before any file is written
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):  # an earlier save's matrices, in either format
+        if _MODEL_FILE.fullmatch(name):
+            os.remove(os.path.join(out_dir, name))
+
+    def write(stem: str, array, dtype=np.float64) -> None:
+        np.save(os.path.join(out_dir, stem + ".npy"), np.asarray(array, dtype=dtype))
+
     if isinstance(model, DdlicModel):
         cfg = model.config
         meta = {"kind": "ddlic", "alphas": [float(a) for a in cfg.alphas]}
         for i, codes in enumerate(model.layer_reprs, start=1):
-            _write_matrix(os.path.join(out_dir, f"layer_repr_{i:02d}.txt"), codes)
+            write(f"layer_repr_{i:02d}", codes)
     else:
         cfg = model.config
         meta = {
@@ -64,7 +98,7 @@ def save_model(model, out_dir: str) -> None:
             "l1_weight": float(cfg.l1_weight),
             "ista": dataclasses.asdict(cfg.ista),
         }
-        _write_matrix(os.path.join(out_dir, "train_repr.txt"), model.train_repr)
+        write("train_repr", model.train_repr)
     # settings and results both models share
     meta.update(
         depth=cfg.depth,
@@ -77,9 +111,9 @@ def save_model(model, out_dir: str) -> None:
     )
 
     for i, dictionary in enumerate(model.dictionaries, start=1):
-        _write_matrix(os.path.join(out_dir, f"dictionary_{i:02d}.txt"), dictionary)
+        write(f"dictionary_{i:02d}", dictionary)
     if model.labels is not None:
-        np.savetxt(os.path.join(out_dir, "train_labels.txt"), model.labels, fmt="%d")
+        write("train_labels", model.labels, np.int64)
     with open(os.path.join(out_dir, "metadata.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -98,15 +132,16 @@ def load_model(model_dir: str):
             raise ValueError(f"{model_dir}: metadata.json has no key {key!r}")
         return meta[key]
 
+    npy = os.path.isfile(os.path.join(model_dir, "dictionary_01.npy"))
+
+    def path(stem: str) -> str:
+        return os.path.join(model_dir, stem + (".npy" if npy else ".txt"))
+
     depth = int(field("depth"))
-    dictionaries = [
-        _read_array(os.path.join(model_dir, f"dictionary_{i:02d}.txt"))
-        for i in range(1, depth + 1)
-    ]
-    labels_path = os.path.join(model_dir, "train_labels.txt")
+    dictionaries = [_read_matrix(path(f"dictionary_{i:02d}")) for i in range(1, depth + 1)]
     labels = None
-    if os.path.isfile(labels_path):
-        labels = _read_array(labels_path, np.int64, ndmin=1)
+    if os.path.isfile(path("train_labels")):
+        labels = _read_matrix(path("train_labels"), np.int64, ndim=1)
     traces = [np.asarray(t, dtype=float) for t in field("traces")]
     shared = dict(
         depth=depth,
@@ -120,10 +155,7 @@ def load_model(model_dir: str):
     kind = field("kind")
     if kind == "ddlic":
         cfg = DdlicConfig(alphas=tuple(float(a) for a in field("alphas")), **shared)
-        layer_reprs = [
-            _read_array(os.path.join(model_dir, f"layer_repr_{i:02d}.txt"))
-            for i in range(1, depth + 1)
-        ]
+        layer_reprs = [_read_matrix(path(f"layer_repr_{i:02d}")) for i in range(1, depth + 1)]
         return DdlicModel(dictionaries, layer_reprs, cfg, traces, labels=labels)
     if kind == "ddl":
         cfg = TrainConfig(
@@ -131,6 +163,6 @@ def load_model(model_dir: str):
             ista=IstaConfig(**field("ista")),
             **shared,
         )
-        train_repr = _read_array(os.path.join(model_dir, "train_repr.txt"))
+        train_repr = _read_matrix(path("train_repr"))
         return DdlModel(dictionaries, train_repr, cfg, traces, labels=labels)
     raise ValueError(f"{model_dir}: unknown model kind {kind!r}")

@@ -2,13 +2,16 @@
 
 import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from deepdict import harness
 from deepdict.cli import _build_parser, _gather_values, main
 from deepdict.data import load_labeled_matrix
 from deepdict.harness import CONFIG_KEYS
+from deepdict.model_io import load_model
 
 
 @pytest.fixture()
@@ -22,6 +25,26 @@ def dataset(tmp_path):
     )
     assert rc == 0
     return path
+
+
+@pytest.fixture()
+def model_dir(tmp_path, dataset):
+    path = tmp_path / "model"
+    rc = main(
+        [
+            "train", "--data", str(dataset), "--layer-sizes", "6,4",
+            "--alphas", "0.001", "--iters", "2", "--out", str(path),
+        ]
+    )
+    assert rc == 0
+    return path
+
+
+@pytest.fixture()
+def text_model_dir(model_dir, save_text_model):
+    """The trained model rewritten in the text format of earlier versions."""
+    save_text_model(load_model(str(model_dir)), model_dir)
+    return model_dir
 
 
 def test_no_command_prints_help(capsys):
@@ -179,6 +202,37 @@ def test_grid_fails_when_every_cell_fails(dataset, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_experiment_fails_when_every_replicate_fails(tmp_path, dataset, capsys):
+    # 10 samples per class leave no test remainder after h = 10
+    out = tmp_path / "out"
+    rc = main(
+        ["experiment", "--data", str(dataset), "--h", "10", "--replicates", "2", "--out", str(out)]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "mean_accuracy" not in captured.out
+    assert captured.err.startswith("error: every replicate failed; first replicate error: ")
+    assert "ValueError: class 0 has 10 samples; cannot reserve 10" in captured.err
+    assert captured.err.count("\n") == 1
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(",1,ValueError: class 0 has 10 samples" in row for row in rows)
+    assert "replicates: 2 (2 failed)" in (out / "summary.txt").read_text()
+
+
+def test_experiment_succeeds_when_some_replicate_runs(dataset, capsys, monkeypatch):
+    real = harness._run_replicate
+
+    def fail_first(cfg, data, r):
+        result = real(cfg, data, r)
+        return replace(result, failed=True, error="ValueError: stand-in") if r == 1 else result
+
+    monkeypatch.setattr(harness, "_run_replicate", fail_first)
+    rc = main(["experiment", "--data", str(dataset), "--layer-sizes", "6,4", "--iters", "2",
+               "--h", "5", "--replicates", "2"])
+    assert rc == 0
+    assert "replicates: 2 (1 failed)" in capsys.readouterr().out
+
+
 def test_export_writes_embeddings(tmp_path, dataset):
     model_dir = tmp_path / "model"
     main(
@@ -265,14 +319,8 @@ def test_eval_model_missing_metadata_key_names_it(tmp_path, dataset, capsys):
 
 
 @pytest.mark.parametrize("name", ["dictionary_01.txt", "train_labels.txt", "metadata.json"])
-def test_eval_unparsable_model_file_names_it(tmp_path, dataset, capsys, name):
-    model_dir = tmp_path / "model"
-    main(
-        [
-            "train", "--data", str(dataset), "--layer-sizes", "6,4",
-            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
-        ]
-    )
+def test_eval_unparsable_model_file_names_it(text_model_dir, dataset, capsys, name):
+    model_dir = text_model_dir
     path = model_dir / name
     path.write_text("abc\n" + path.read_text())
     capsys.readouterr()
@@ -285,14 +333,8 @@ def test_eval_unparsable_model_file_names_it(tmp_path, dataset, capsys, name):
 
 @pytest.mark.parametrize("name", ["train_labels.txt", "dictionary_01.txt", "layer_repr_02.txt"])
 @pytest.mark.parametrize("content", ["", "\n \n"], ids=["empty", "blank"])
-def test_eval_empty_model_file_names_it(tmp_path, dataset, capsys, recwarn, name, content):
-    model_dir = tmp_path / "model"
-    main(
-        [
-            "train", "--data", str(dataset), "--layer-sizes", "6,4",
-            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
-        ]
-    )
+def test_eval_empty_model_file_names_it(text_model_dir, dataset, capsys, recwarn, name, content):
+    model_dir = text_model_dir
     path = model_dir / name
     path.write_text(content)
     capsys.readouterr()
@@ -303,14 +345,8 @@ def test_eval_empty_model_file_names_it(tmp_path, dataset, capsys, recwarn, name
     assert not recwarn.list
 
 
-def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsys):
-    model_dir = tmp_path / "model"
-    main(
-        [
-            "train", "--data", str(dataset), "--layer-sizes", "6,4",
-            "--alphas", "0.001", "--iters", "2", "--out", str(model_dir),
-        ]
-    )
+def test_eval_model_with_non_finite_codes_fails_cleanly(text_model_dir, dataset, capsys):
+    model_dir = text_model_dir
     codes = model_dir / "layer_repr_02.txt"
     _, rest = codes.read_text().split(" ", 1)
     codes.write_text("nan " + rest)
@@ -321,6 +357,55 @@ def test_eval_model_with_non_finite_codes_fails_cleanly(tmp_path, dataset, capsy
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "finite" in err
+
+
+def _rewrite_npy(path, change):
+    np.save(path, change(np.load(path)), allow_pickle=True)
+
+
+def _with_nan(matrix):
+    matrix[0, 0] = np.nan
+    return matrix
+
+
+def _write_npz(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("dictionary_01.npy", lambda p: p.write_bytes(p.read_bytes()[:-8]), "Failed to read all"),
+        ("dictionary_01.npy", lambda p: p.write_bytes(p.read_bytes()[:20]), "EOF: reading array"),
+        ("train_labels.npy", lambda p: p.write_bytes(b""), "file holds no values"),
+        ("dictionary_01.npy", _write_npz, "not a .npy file"),
+        ("dictionary_01.npy", lambda p: p.write_text("1 2\n3 4\n"), "not a .npy file"),
+        ("layer_repr_01.npy", lambda p: _rewrite_npy(p, lambda a: a.astype(object)),
+         "Object arrays cannot be loaded"),
+        ("dictionary_02.npy", lambda p: _rewrite_npy(p, lambda a: a.astype(np.float32)),
+         "holds a 2-D float32 array; expected 2-D float64"),
+        ("layer_repr_02.npy", lambda p: _rewrite_npy(p, lambda a: a.astype(complex)),
+         "holds a 2-D complex128 array; expected 2-D float64"),
+        ("layer_repr_02.npy", lambda p: _rewrite_npy(p, np.ravel),
+         "holds a 1-D float64 array; expected 2-D float64"),
+        ("train_labels.npy", lambda p: _rewrite_npy(p, lambda a: a[:, None]),
+         "holds a 2-D int64 array; expected 1-D int64"),
+        ("layer_repr_02.npy", lambda p: _rewrite_npy(p, _with_nan), "values must be finite"),
+    ],
+    ids=["truncated-data", "truncated-header", "empty", "npz", "text", "object", "float32",
+         "complex", "1-D-matrix", "2-D-labels", "nan"],
+)
+def test_eval_corrupt_npy_model_file_names_it(model_dir, dataset, capsys, name, corrupt, message):
+    path = model_dir / name
+    corrupt(path)
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
