@@ -64,15 +64,13 @@ class KnnConfig:
 class KnnReport:
     """Accuracy-vs-neighbor-size curve plus the reported operating point.
 
-    ``best_k``/``best_accuracy`` always describe the maximum of the stored
-    curve; ``selected_k``/``selected_accuracy`` are what the experiment
-    aggregates and may differ under cross-validated selection.
+    ``accuracies[i]`` is the test accuracy at ``ks[i]``. ``selected_k`` and
+    ``selected_accuracy`` are what the experiment aggregates: the curve's
+    first maximum, or under ``selection="cv"`` the leave-one-out choice.
     """
 
     ks: tuple[int, ...]
     accuracies: np.ndarray
-    best_k: int
-    best_accuracy: float
     selected_k: int
     selected_accuracy: float
 
@@ -262,6 +260,14 @@ def _loocv_neighbor_choice(
     return valid[int(np.argmax(accuracies))]  # first max: smallest such k
 
 
+def _neighbor_sizes(cfg: KnnConfig, n_train: int) -> list[int]:
+    """The configured neighbor sizes that do not exceed the training-set size."""
+    ks = list(range(cfg.k_min, min(cfg.k_max, n_train) + 1))
+    if not ks:
+        raise ValueError("no valid neighbor size: training set is too small")
+    return ks
+
+
 def evaluate_accuracy(
     train_codes: np.ndarray,
     train_labels: np.ndarray,
@@ -269,37 +275,27 @@ def evaluate_accuracy(
     test_labels: np.ndarray,
     cfg: KnnConfig = KnnConfig(),
 ) -> KnnReport:
-    """Accuracy across the neighbor-size sweep plus the reported choice.
+    """Accuracy across the neighbor-size sweep plus the point ``cfg.selection`` picks.
 
     Sweeps every k in the configured range that does not exceed the
-    training-set size. Raises on an empty test set.
+    training-set size. Raises on an empty test set or a range with no such k.
     """
     if test_codes.shape[1] == 0:
         raise ValueError("empty test set")
-    n_train = train_codes.shape[1]
     labels = _check_knn_inputs(train_codes, train_labels, test_codes)
     targets = np.asarray(test_labels)
     if targets.shape != (test_codes.shape[1],):
         raise ValueError("test_labels must have one entry per test column")
-    ks = list(range(cfg.k_min, min(cfg.k_max, n_train) + 1))
-    if not ks:
-        raise ValueError("no valid neighbor size: training set is too small")
+    ks = _neighbor_sizes(cfg, train_codes.shape[1])
 
     accuracies = np.mean(_sweep_votes(train_codes, labels, test_codes, ks) == targets, axis=1)
-    best_pos = int(np.argmax(accuracies))  # first max: smallest such k
-    best_k = ks[best_pos]
-    best_accuracy = float(accuracies[best_pos])
     if cfg.selection == "cv":
         selected_k = _loocv_neighbor_choice(train_codes, labels, ks)
-        selected_accuracy = float(accuracies[ks.index(selected_k)])
     else:
-        selected_k = best_k
-        selected_accuracy = best_accuracy
+        selected_k = ks[int(np.argmax(accuracies))]  # first max: smallest such k
     return KnnReport(
         ks=tuple(ks),
         accuracies=accuracies,
-        best_k=best_k,
-        best_accuracy=best_accuracy,
         selected_k=selected_k,
-        selected_accuracy=selected_accuracy,
+        selected_accuracy=float(accuracies[ks.index(selected_k)]),
     )

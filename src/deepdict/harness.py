@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from .baseline import TrainConfig, code_test_ddl, train_ddl
-from .classify import KnnConfig, code_layers, code_test_ddlic, evaluate_accuracy
+from .classify import KnnConfig, _neighbor_sizes, code_layers, code_test_ddlic, evaluate_accuracy
 from .data import (
     LabeledMatrix,
     SplitSpec,
@@ -243,9 +243,11 @@ def _training_layer_stack(model, train: LabeledMatrix) -> list[tuple[str, np.nda
 def _run_replicate(cfg: ExperimentConfig, data: LabeledMatrix, r: int) -> ReplicateResult:
     seed = cfg.seed + r
     started = time.perf_counter()
+    error = ""
     try:
         spec = SplitSpec(cfg.train_per_class, seed=seed, replicate_index=r)
         train, test = split_per_class(data, spec)
+        _neighbor_sizes(cfg.knn, train.num_samples)  # fail before training, not after it
         model = fit_model(cfg, train, seed)
         test_codes = code_test(model, test.features)
         train_seconds = time.perf_counter() - started
@@ -260,29 +262,21 @@ def _run_replicate(cfg: ExperimentConfig, data: LabeledMatrix, r: int) -> Replic
             (name, intra_class_scatter_ratio(mat, train.class_index))
             for name, mat in _training_layer_stack(model, train)
         )
-        return ReplicateResult(
-            index=r,
-            seed=seed,
-            accuracy=report.selected_accuracy,
-            best_k=report.selected_k,
-            scatter=scatter,
-            train_seconds=train_seconds,
-            total_seconds=time.perf_counter() - started,
-            failed=False,
-            error="",
-        )
+        accuracy, best_k = report.selected_accuracy, report.selected_k
     except Exception as exc:  # noqa: BLE001 - replicate failures are reported, not fatal
-        return ReplicateResult(
-            index=r,
-            seed=seed,
-            accuracy=float("nan"),
-            best_k=0,
-            scatter=(),
-            train_seconds=0.0,
-            total_seconds=time.perf_counter() - started,
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+        accuracy, best_k, scatter, train_seconds = float("nan"), 0, (), 0.0
+    return ReplicateResult(
+        index=r,
+        seed=seed,
+        accuracy=accuracy,
+        best_k=best_k,
+        scatter=scatter,
+        train_seconds=train_seconds,
+        total_seconds=time.perf_counter() - started,
+        failed=bool(error),
+        error=error,
+    )
 
 
 # NumPy and SciPy each load their own OpenBLAS copy, with its own thread count.

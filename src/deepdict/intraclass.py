@@ -168,13 +168,8 @@ def dictionary_gradient(
     return 2.0 * (dictionary @ codes - inputs) @ codes.T
 
 
-def update_dictionary(
-    inputs: np.ndarray,
-    codes: np.ndarray,
-    policy: RidgePolicy = DEFAULT_RIDGE,
-) -> np.ndarray:
-    """Exact dictionary refresh; the compactness term does not involve it."""
-    return solve_least_squares_dictionary(inputs, codes, policy)
+# Exact dictionary refresh; the compactness term does not involve it.
+update_dictionary = solve_least_squares_dictionary
 
 
 def update_representations(

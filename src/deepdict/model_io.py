@@ -33,10 +33,12 @@ _MODEL_FILE = re.compile(r"(dictionary_\d+|layer_repr_\d+|train_repr|train_label
 
 @contextmanager
 def _naming(path: str):
-    # NumPy's and json's parse errors do not say which file they are about
+    # NumPy's, json's and the settings' errors do not say which file they are about
     try:
         yield
-    except ValueError as exc:
+    except KeyError as exc:  # a key missing from metadata.json
+        raise ValueError(f"{path} has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -120,49 +122,49 @@ def save_model(model, out_dir: str) -> None:
 
 
 def load_model(model_dir: str):
-    """Load a model directory written by :func:`save_model`."""
+    """Load a model directory written by :func:`save_model`.
+
+    Every error about the metadata starts with the path of ``metadata.json``.
+    """
     meta_path = os.path.join(model_dir, "metadata.json")
     if not os.path.isfile(meta_path):
         raise FileNotFoundError(f"{model_dir}: no metadata.json; not a model directory")
     with open(meta_path) as fh, _naming(meta_path):
         meta = json.load(fh)
-
-    def field(key: str):
-        if key not in meta:
-            raise ValueError(f"{model_dir}: metadata.json has no key {key!r}")
-        return meta[key]
+        if not isinstance(meta, dict):
+            raise ValueError("top level must be a JSON object")
+        kind = meta["kind"]
+        shared = dict(
+            depth=int(meta["depth"]),
+            layer_sizes=tuple(int(k) for k in meta["layer_sizes"]),
+            iters_per_layer=int(meta["iters_per_layer"]),
+            seed=int(meta["seed"]),
+            init=meta["init"],
+            ridge=RidgePolicy(epsilon_scale=float(meta["ridge_epsilon_scale"])),
+        )
+        if kind == "ddlic":
+            cfg = DdlicConfig(alphas=tuple(float(a) for a in meta["alphas"]), **shared)
+        elif kind == "ddl":
+            cfg = TrainConfig(
+                l1_weight=float(meta["l1_weight"]),
+                ista=IstaConfig(**meta["ista"]),
+                **shared,
+            )
+        else:
+            raise ValueError(f"unknown model kind {kind!r}")
+        traces = [np.asarray(t, dtype=float) for t in meta["traces"]]
 
     npy = os.path.isfile(os.path.join(model_dir, "dictionary_01.npy"))
 
     def path(stem: str) -> str:
         return os.path.join(model_dir, stem + (".npy" if npy else ".txt"))
 
-    depth = int(field("depth"))
-    dictionaries = [_read_matrix(path(f"dictionary_{i:02d}")) for i in range(1, depth + 1)]
+    dictionaries = [_read_matrix(path(f"dictionary_{i:02d}")) for i in range(1, cfg.depth + 1)]
     labels = None
     if os.path.isfile(path("train_labels")):
         labels = _read_matrix(path("train_labels"), np.int64, ndim=1)
-    traces = [np.asarray(t, dtype=float) for t in field("traces")]
-    shared = dict(
-        depth=depth,
-        layer_sizes=tuple(int(k) for k in field("layer_sizes")),
-        iters_per_layer=int(field("iters_per_layer")),
-        seed=int(field("seed")),
-        init=field("init"),
-        ridge=RidgePolicy(epsilon_scale=float(field("ridge_epsilon_scale"))),
-    )
-
-    kind = field("kind")
     if kind == "ddlic":
-        cfg = DdlicConfig(alphas=tuple(float(a) for a in field("alphas")), **shared)
-        layer_reprs = [_read_matrix(path(f"layer_repr_{i:02d}")) for i in range(1, depth + 1)]
+        layer_reprs = [_read_matrix(path(f"layer_repr_{i:02d}")) for i in range(1, cfg.depth + 1)]
         return DdlicModel(dictionaries, layer_reprs, cfg, traces, labels=labels)
-    if kind == "ddl":
-        cfg = TrainConfig(
-            l1_weight=float(field("l1_weight")),
-            ista=IstaConfig(**field("ista")),
-            **shared,
-        )
-        train_repr = _read_matrix(path("train_repr"))
-        return DdlModel(dictionaries, train_repr, cfg, traces, labels=labels)
-    raise ValueError(f"{model_dir}: unknown model kind {kind!r}")
+    train_repr = _read_matrix(path("train_repr"))
+    return DdlModel(dictionaries, train_repr, cfg, traces, labels=labels)

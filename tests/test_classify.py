@@ -143,6 +143,19 @@ class TestNeighborCounts:
             KnnConfig(**{field: value})
 
     @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(k_min=0), "k_min must be >= 1"),
+            (dict(k_min=5, k_max=4), "k_max must be >= k_min"),
+            (dict(selection="median"), "unknown selection mode: 'median'"),
+        ],
+        ids=["k-min-zero", "k-max-below-k-min", "unknown-selection"],
+    )
+    def test_config_rejects_bad_range_or_selection(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            KnnConfig(**settings)
+
+    @pytest.mark.parametrize(
         "k", [2.0, True, np.float64(2), np.bool_(True)],
         ids=["float", "bool", "numpy-float", "numpy-bool"],
     )
@@ -170,9 +183,9 @@ class TestEvaluateAccuracy:
         for k, acc in zip(rep.ks, rep.accuracies):
             want = float(np.mean(knn_predict(train, labels, test, k) == targets))
             assert acc == pytest.approx(want)
-        assert rep.best_accuracy == max(rep.accuracies)
-        first_best = rep.ks[int(np.argmax(rep.accuracies))]
-        assert rep.best_k == first_best
+        first_best = int(np.argmax(rep.accuracies))
+        assert rep.selected_k == rep.ks[first_best]
+        assert rep.selected_accuracy == rep.accuracies[first_best] == max(rep.accuracies)
 
     def test_neighbor_range_clipped_to_training_size(self):
         rng = RNG(3)
@@ -195,9 +208,12 @@ class TestEvaluateAccuracy:
         assert time.perf_counter() - started < 1.0
         assert got.ks == want.ks == tuple(range(1, 31))
         assert np.array_equal(got.accuracies, want.accuracies)
-        assert (got.best_k, got.best_accuracy, got.selected_k, got.selected_accuracy) == (
-            want.best_k, want.best_accuracy, want.selected_k, want.selected_accuracy
-        )
+        assert (got.selected_k, got.selected_accuracy) == (want.selected_k, want.selected_accuracy)
+        if selection == "best":  # the curve's first maximum
+            first_best = int(np.argmax(got.accuracies))
+            assert (got.selected_k, got.selected_accuracy) == (
+                got.ks[first_best], got.accuracies[first_best]
+            )
 
     def test_empty_test_set_rejected(self):
         with pytest.raises(ValueError, match="empty test"):
@@ -278,8 +294,13 @@ class TestEvaluateAccuracy:
             np.mean(knn_predict(train, labels, test, want_k) == targets)
         )
         assert rep.selected_accuracy == pytest.approx(want_acc)
-        # the stored curve still reports the plain sweep maximum
-        assert rep.best_accuracy == max(rep.accuracies)
+        # the same curve under selection="best" reports its first maximum
+        best = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 8))
+        assert np.array_equal(best.accuracies, rep.accuracies)
+        first_best = int(np.argmax(rep.accuracies))
+        assert (best.selected_k, best.selected_accuracy) == (
+            rep.ks[first_best], max(rep.accuracies)
+        )
 
     def test_default_selection_reports_curve_best(self):
         rng = RNG(6)
@@ -288,8 +309,9 @@ class TestEvaluateAccuracy:
         test = rng.normal(size=(2, 9))
         targets = rng.integers(0, 2, size=9)
         rep = evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 6))
-        assert rep.selected_k == rep.best_k
-        assert rep.selected_accuracy == rep.best_accuracy
+        first_best = int(np.argmax(rep.accuracies))
+        assert rep.selected_k == rep.ks[first_best]
+        assert rep.selected_accuracy == rep.accuracies[first_best] == max(rep.accuracies)
 
 
 def _oracle_loo_choice(train, labels, ks):

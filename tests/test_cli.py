@@ -219,6 +219,25 @@ def test_experiment_fails_when_every_replicate_fails(tmp_path, dataset, capsys):
     assert "replicates: 2 (2 failed)" in (out / "summary.txt").read_text()
 
 
+def test_experiment_checks_the_neighbor_range_before_training(dataset, capsys, monkeypatch):
+    fitted = []
+    real = harness.fit_model
+
+    def recording_fit(cfg, train, seed):
+        fitted.append(seed)
+        return real(cfg, train, seed)
+
+    monkeypatch.setattr(harness, "fit_model", recording_fit)
+    # 3 classes with 5 training samples each: 15 < k_min
+    rc = main(["experiment", "--data", str(dataset), "--layer-sizes", "6,4", "--h", "5",
+               "--replicates", "2", "--knn-min", "40", "--knn-max", "50"])
+    assert rc == 1
+    assert fitted == []
+    err = capsys.readouterr().err
+    assert err == ("error: every replicate failed; first replicate error: "
+                   "ValueError: no valid neighbor size: training set is too small\n")
+
+
 def test_experiment_succeeds_when_some_replicate_runs(dataset, capsys, monkeypatch):
     real = harness._run_replicate
 
@@ -295,6 +314,14 @@ def test_eval_bad_knn_setting_names_its_key(tmp_path, dataset, capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "knn_max" in err
+
+
+def test_eval_model_without_labels_fails_cleanly(model_dir, dataset, capsys):
+    (model_dir / "train_labels.npy").unlink()
+    rc = main(["eval", "--model", str(model_dir), "--data", str(dataset)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: model has no stored training labels; cannot classify\n"
 
 
 def test_eval_model_missing_metadata_key_names_it(tmp_path, dataset, capsys):

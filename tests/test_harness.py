@@ -579,6 +579,14 @@ class TestPerLayerAccuracy:
         with pytest.raises(ValueError, match="per-layer"):
             per_layer_accuracy(model, train, test)
 
+    def test_training_data_other_than_the_models_rejected(self):
+        data = make_synthetic_clusters(3, 10, 12, 6.0, seed=6)
+        train, test = split_per_class(data, SplitSpec(6, seed=1, replicate_index=1))
+        cfg = DdlicConfig(depth=2, layer_sizes=(8, 6), alphas=(0.01,) * 2, iters_per_layer=2)
+        model = train_ddlic(train, cfg)
+        with pytest.raises(ValueError, match="disagree on sample count"):
+            per_layer_accuracy(model, test, test)
+
 
 class TestConfigFiles:
     def test_defaults_applied(self, tmp_path):
@@ -722,6 +730,23 @@ class TestConfigFiles:
 def test_experiment_config_rejects_bad_method_settings(overrides):
     # Each setting is checked whichever method the experiment runs.
     with pytest.raises(ValueError):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(method="svm"), "unknown method: 'svm'"),
+        (dict(data_format="xml"), "unknown data format: 'xml'"),
+        (dict(grid_mode="random"), "unknown grid mode: 'random'"),
+        (dict(train_per_class=0), "train_per_class must be >= 1"),
+        (dict(replicates=0), "replicates must be >= 1"),
+        (dict(workers=0), "workers must be >= 1"),
+    ],
+    ids=["method", "data-format", "grid-mode", "train-per-class", "replicates", "workers"],
+)
+def test_experiment_config_rejects_bad_run_settings(overrides, message):
+    with pytest.raises(ValueError, match=message):
         small_config(**overrides)
 
 

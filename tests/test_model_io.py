@@ -226,3 +226,51 @@ def test_npy_directory_ignores_text_files(tmp_path):
     np.savetxt(tmp_path / "m" / "train_labels.txt", model.labels, fmt="%d")
     assert load_model(str(tmp_path / "m")).labels is None
 
+
+
+def _set_meta(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+@pytest.mark.parametrize(
+    "kind, change, message",
+    [
+        ("ddlic", lambda meta: ["depth"], "top level must be a JSON object"),
+        ("ddlic", _set_meta("layer_sizes", [8, "a"]), "invalid literal for int"),
+        ("ddlic", lambda meta: {**meta, "traces": [meta["traces"][0], ["ab"]]},
+         "could not convert string to float: 'ab'"),
+        ("ddl", lambda meta: {**meta, "ista": {**meta["ista"], "tolerance": 1}},
+         "unexpected keyword argument 'tolerance'"),
+        ("ddlic", _set_meta("kind", "svm"), "unknown model kind 'svm'"),
+        ("ddlic", _set_meta("alphas", [0.01]), "alphas length must equal depth"),
+    ],
+    ids=["top-level-list", "layer-size-text", "trace-text", "unknown-ista-key", "unknown-kind",
+         "settings-check"],
+)
+def test_metadata_error_starts_with_its_path(tmp_path, kind, change, message):
+    model_dir = tmp_path / "m"
+    save_model(_trained(kind), str(model_dir))
+    meta_path = model_dir / "metadata.json"
+    meta_path.write_text(json.dumps(change(json.loads(meta_path.read_text()))))
+    with pytest.raises(ValueError) as err:
+        load_model(str(model_dir))
+    assert str(err.value).startswith(f"{meta_path}: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "part, layer, change, message",
+    [
+        ("dictionaries", 1, lambda d: np.ones((7, 4)), "layer 2 dictionary rows do not chain"),
+        ("layer_reprs", 0, lambda z: z[:, :-1], "layer 1 codes have 14 columns, expected 15"),
+        ("dictionaries", 0, lambda d: d * np.nan, "dictionaries and training codes must be finite"),
+        ("layer_reprs", 1, lambda z: z * np.inf, "dictionaries and training codes must be finite"),
+    ],
+    ids=["rows-do-not-chain", "code-columns", "nan-dictionary", "inf-codes"],
+)
+def test_model_built_from_parts_that_do_not_fit_rejected(part, layer, change, message):
+    model = _trained("ddlic")
+    parts = list(getattr(model, part))
+    parts[layer] = change(parts[layer])
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(model, **{part: parts})
