@@ -129,15 +129,11 @@ def train_dense_layer(
     The recorded reconstruction-error trace is non-increasing. Returns
     (dictionary, codes, trace).
     """
-
-    def squared_error(dictionary, codes):
-        resid = inputs - dictionary @ codes
-        return float(np.sum(resid * resid))
-
     return alternate_layer(
         inputs, init_dict, n_iters,
         lambda dictionary, codes: ridge_code(dictionary, inputs, policy),
-        squared_error, policy,
+        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0),
+        policy,
     )
 
 
@@ -172,10 +168,13 @@ def train_stack(features: np.ndarray, cfg, train_one: Callable) -> tuple[list, l
     layer's codes (the features for layer 1) and is trained by
     ``train_one(l, inputs, init_dict)``, which returns (dictionary, codes,
     trace). Layers are never revisited. Returns the per-layer dictionaries,
-    codes and traces.
+    codes and traces. All-zero features raise ``ValueError`` before any
+    layer trains.
     """
     if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
         raise ValueError("features must be a non-empty 2-D matrix")
+    if not features.any():
+        raise ValueError("features are all zero; no layer can learn from them")
     current = features
     dictionaries, layer_codes, traces = [], [], []
     for layer, n_atoms in enumerate(cfg.layer_sizes, start=1):

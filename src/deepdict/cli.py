@@ -12,8 +12,6 @@ flags win. All failures exit nonzero with a single ``error: ...`` line.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 
 from .classify import evaluate_accuracy
@@ -21,7 +19,9 @@ from .data import make_synthetic_clusters, save_labeled_matrix
 from .harness import (
     _BOOL,
     CONFIG_KEYS,
+    _fmt,
     _require_a_replicate,
+    _write_csv,
     build_experiment_config,
     code_test,
     export_embeddings,
@@ -104,16 +104,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         model.train_repr, model.labels, test_codes, data.original_labels, cfg.knn
     )
     for k, acc in zip(report.ks, report.accuracies):
-        print(f"k={k} accuracy={float(acc)!r}")
+        print(f"k={k} accuracy={_fmt(acc)}")
     print(f"selected k={report.selected_k} accuracy={report.selected_accuracy!r}")
     if args.curve_dir:
-        os.makedirs(args.curve_dir, exist_ok=True)
-        path = os.path.join(args.curve_dir, "accuracy_curve.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "accuracy"])
-            for k, acc in zip(report.ks, report.accuracies):
-                writer.writerow([k, repr(float(acc))])
+        curve = ([k, _fmt(acc)] for k, acc in zip(report.ks, report.accuracies))
+        path = _write_csv(args.curve_dir, "accuracy_curve.csv", ["k", "accuracy"], curve)
         print(f"curve written to {path}")
     return 0
 
@@ -137,27 +132,20 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     cfg = build_experiment_config(_gather_values(args))
     best, rows = grid_search_alpha(cfg)
     for row in rows:
-        alphas = ",".join(repr(float(a)) for a in row.alphas)
+        alphas = ",".join(map(_fmt, row.alphas))
         print(
             f"alphas={alphas} mean_accuracy={row.mean_accuracy!r}"
             f" std_accuracy={row.std_accuracy!r} failed={row.n_failed}"
         )
-    print("best_alphas=" + ",".join(repr(float(a)) for a in best))
+    print("best_alphas=" + ",".join(map(_fmt, best)))
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "grid.csv")
-        depth = len(cfg.layer_sizes)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [f"alpha_{i}" for i in range(1, depth + 1)]
-                + ["mean_accuracy", "std_accuracy", "failed"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [repr(float(a)) for a in row.alphas]
-                    + [repr(float(row.mean_accuracy)), repr(float(row.std_accuracy)), row.n_failed]
-                )
+        header = [f"alpha_{i}" for i in range(1, len(cfg.layer_sizes) + 1)]
+        header += ["mean_accuracy", "std_accuracy", "failed"]
+        table = (
+            [*map(_fmt, row.alphas), _fmt(row.mean_accuracy), _fmt(row.std_accuracy), row.n_failed]
+            for row in rows
+        )
+        path = _write_csv(cfg.out_dir, "grid.csv", header, table)
         print(f"grid written to {path}")
     return 0
 

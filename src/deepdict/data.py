@@ -124,11 +124,9 @@ def split_indices(data: LabeledMatrix, spec: SplitSpec) -> tuple[np.ndarray, np.
                 f"class {int(data.label_values[c])} has {idx.size} samples; "
                 f"cannot reserve {h} for training and leave a test remainder"
             )
-        chosen = rng.choice(idx.size, size=h, replace=False)
-        mask = np.zeros(idx.size, dtype=bool)
-        mask[chosen] = True
-        train_parts.append(idx[mask])
-        test_parts.append(idx[~mask])
+        chosen = np.sort(rng.choice(idx.size, size=h, replace=False))
+        train_parts.append(idx[chosen])
+        test_parts.append(np.delete(idx, chosen))
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 

@@ -379,30 +379,37 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_report_files(report: ExperimentReport, cfg: ExperimentConfig) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    scatter_names = report.scatter_names
-    with open(os.path.join(cfg.out_dir, "report.csv"), "w", newline="") as fh:
+def _write_csv(out_dir: str, name: str, header: list, rows) -> str:
+    """Write ``out_dir/name`` (creating ``out_dir``) with ``\n`` line ends; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["replicate", "seed", "accuracy", "best_k", "failed", "error"]
-            + [f"scatter_{name}" for name in scatter_names]
-        )
-        for res in report.replicates:
-            scatter_map = dict(res.scatter)
-            row = [
-                res.index,
-                res.seed,
-                "" if res.failed else _fmt(res.accuracy),
-                "" if res.failed else res.best_k,
-                int(res.failed),
-                res.error,
-            ]
-            row += [
-                _fmt(scatter_map[name]) if name in scatter_map else ""
-                for name in scatter_names
-            ]
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_report_files(report: ExperimentReport, cfg: ExperimentConfig) -> None:
+    scatter_names = report.scatter_names
+    rows = []
+    for res in report.replicates:
+        scatter_map = dict(res.scatter)
+        row = [
+            res.index,
+            res.seed,
+            "" if res.failed else _fmt(res.accuracy),
+            "" if res.failed else res.best_k,
+            int(res.failed),
+            res.error,
+        ]
+        row += [
+            _fmt(scatter_map[name]) if name in scatter_map else ""
+            for name in scatter_names
+        ]
+        rows.append(row)
+    header = ["replicate", "seed", "accuracy", "best_k", "failed", "error"]
+    _write_csv(cfg.out_dir, "report.csv", header + [f"scatter_{n}" for n in scatter_names], rows)
 
     with open(os.path.join(cfg.out_dir, "summary.txt"), "w") as fh:
         fh.write(f"method: {report.method}\n")

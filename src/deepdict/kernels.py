@@ -74,8 +74,7 @@ def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
     k = gram.shape[0]
     ridged = np.array(gram, dtype=float, order="F")
     diagonal = ridged.ravel(order="F")[:: k + 1]  # a view: the diagonal is shifted in place
-    if shift:
-        diagonal += shift
+    diagonal += shift
     trace = float(diagonal.sum())
     if not math.isfinite(trace):
         raise ValueError("gram must not contain infs or NaNs")
@@ -320,10 +319,7 @@ def gram_spectral_norm(gram: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric PSD matrix: at most 50 power iterations, to 1e-8."""
     k = gram.shape[0]
     v = np.random.default_rng(0).standard_normal(k)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
+    v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(50):
         w = gram @ v

@@ -8,12 +8,16 @@ import pytest
 from deepdict.baseline import (
     DdlModel,
     TrainConfig,
+    alternate_layer,
     code_test_ddl,
     product_dictionary,
     train_ddl,
     train_dense_layer,
     train_sparse_layer,
+    train_stack,
 )
+from deepdict.data import LabeledMatrix
+from deepdict.intraclass import DdlicConfig, train_ddlic
 from deepdict.kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
@@ -144,6 +148,47 @@ class TestSharedLoop:
         assert _same(model.dictionaries, dictionaries)
         assert np.array_equal(model.train_repr, codes)
         assert _same(model.traces, traces)
+
+
+SMALL = TrainConfig(depth=2, layer_sizes=(3, 2), iters_per_layer=2)
+SMALL_DDLIC = DdlicConfig(depth=2, layer_sizes=(3, 2), alphas=(0.1, 0.1), iters_per_layer=2)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: alternate_layer(np.ones((3, 4)), np.eye(2), 1, None, None),
+             "init_dict rows must match the input dimension"),
+            (lambda: alternate_layer(np.ones((3, 4)), np.eye(3), 0, None, None),
+             "n_iters must be >= 1"),
+            (lambda: train_stack(np.ones(4), TrainConfig(depth=1, layer_sizes=(2,)), None),
+             "features must be a non-empty 2-D matrix"),
+            (lambda: train_stack(np.ones((3, 0)), TrainConfig(depth=1, layer_sizes=(2,)), None),
+             "features must be a non-empty 2-D matrix"),
+            (lambda: product_dictionary([]), "at least one dictionary is required"),
+        ],
+        ids=["init-dict-rows", "no-iterations", "vector-features", "no-samples", "no-dictionaries"],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_all_zero_features_rejected_before_any_layer_trains(self):
+        trained = []
+        with pytest.raises(ValueError, match="features are all zero"):
+            train_stack(np.zeros((4, 6)), SMALL, lambda layer, *_: trained.append(layer))
+        assert trained == []
+        with pytest.raises(ValueError, match="features are all zero"):
+            train_ddl(np.zeros((4, 6)), SMALL)
+        zeros = LabeledMatrix(np.zeros((4, 6)), np.repeat([0, 1], 3))
+        with pytest.raises(ValueError, match="features are all zero"):
+            train_ddlic(zeros, SMALL_DDLIC)
+
+    def test_constant_nonzero_features_still_train(self):
+        assert np.isfinite(train_ddl(np.full((4, 6), 3.5), SMALL).train_repr).all()
+        constant = LabeledMatrix(np.full((4, 6), 3.5), np.repeat([0, 1], 3))
+        assert np.isfinite(train_ddlic(constant, SMALL_DDLIC).train_repr).all()
 
 
 class TestFullStack:

@@ -124,6 +124,10 @@ class TestKnnPredict:
         with pytest.raises(ValueError, match="exceeds"):
             knn_predict(np.zeros((2, 3)), np.zeros(3, np.int64), np.zeros((2, 1)), 4)
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            knn_predict(np.zeros((2, 3)), np.zeros(3, np.int64), np.zeros((2, 1)), 0)
+
     def test_original_label_values_preserved(self):
         train = np.array([[0.0, 5.0]])
         labels = np.array([42, -7])
@@ -219,6 +223,13 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError, match="empty test"):
             evaluate_accuracy(
                 np.zeros((2, 4)), np.zeros(4, np.int64), np.zeros((2, 0)), np.zeros(0, np.int64)
+            )
+
+    @pytest.mark.parametrize("n_test_labels", [3, 5])
+    def test_test_label_count_must_match_test_columns(self, n_test_labels):
+        with pytest.raises(ValueError, match="test_labels must have one entry per test column"):
+            evaluate_accuracy(
+                np.eye(2), np.array([0, 1]), np.zeros((2, 4)), np.zeros(n_test_labels, np.int64)
             )
 
     @pytest.mark.parametrize("n_labels", [7, 13])
@@ -574,3 +585,7 @@ class TestTestSideCoding:
         model = train_ddlic(data, cfg)
         with pytest.raises(ValueError):
             code_test_ddlic(model, np.zeros((5, 3)))
+
+    def test_no_dictionaries_rejected(self):
+        with pytest.raises(ValueError, match="at least one dictionary is required"):
+            code_layers([], np.zeros((5, 3)))

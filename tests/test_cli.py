@@ -133,6 +133,25 @@ def test_experiment_writes_reports(tmp_path, dataset, capsys):
     assert (out / "resolved_config.txt").exists()
 
 
+def test_csv_files_end_lines_with_newline_only(tmp_path, dataset, model_dir, capsys):
+    # each output directory is nested and missing, so the writer creates it
+    out = tmp_path / "new" / "dirs"
+    common = ["--data", str(dataset), "--knn-max", "3"]
+    fit = ["--layer-sizes", "6,4", "--iters", "2", "--h", "5", "--replicates", "2"]
+    assert main(["eval", "--model", str(model_dir), *common, "--out", str(out / "ev")]) == 0
+    assert main(["experiment", *common, *fit, "--out", str(out / "exp")]) == 0
+    assert main(["grid", *common, *fit, "--alpha-grid", "0,0.01", "--out", str(out / "grid")]) == 0
+    capsys.readouterr()
+    for path, rows in [
+        (out / "ev" / "accuracy_curve.csv", 4),
+        (out / "exp" / "report.csv", 3),
+        (out / "grid" / "grid.csv", 3),
+    ]:
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n") and raw.count(b"\n") == rows
+
+
 def test_experiment_honors_config_file_with_flag_override(tmp_path, dataset):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -59,6 +59,19 @@ class TestLabeledMatrix:
         with pytest.raises(ValueError, match="finite"):
             LabeledMatrix(feats, np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            (np.zeros(3), [0, 1, 2], "features must be a 2-D matrix"),
+            (np.zeros((0, 3)), [0, 1, 2], "feature matrix must be non-empty"),
+            (np.zeros((2, 0)), np.zeros(0, np.int64), "feature matrix must be non-empty"),
+        ],
+        ids=["vector", "no-rows", "no-columns"],
+    )
+    def test_rejects_features_that_are_not_a_non_empty_matrix(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledMatrix(features, np.asarray(labels))
+
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(ValueError):
             LabeledMatrix(np.zeros((2, 3)), np.array([0, 1]))
@@ -133,6 +146,31 @@ class TestSplits:
         with pytest.raises(ValueError, match="cannot reserve"):
             split_indices(data, SplitSpec(5))
 
+    def test_matches_the_boolean_mask_split(self):
+        def mask_split(data, spec):
+            # the boolean-mask selection split_indices used before np.delete
+            h = spec.per_class_train_count
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, spec.replicate_index)))
+            train_parts, test_parts = [], []
+            for idx in data.class_index:
+                chosen = rng.choice(idx.size, size=h, replace=False)
+                mask = np.zeros(idx.size, dtype=bool)
+                mask[chosen] = True
+                train_parts.append(idx[mask])
+                test_parts.append(idx[~mask])
+            return np.concatenate(train_parts), np.concatenate(test_parts)
+
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            sizes = rng.integers(2, 40, size=rng.integers(1, 6))
+            labels = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+            data = LabeledMatrix(np.ones((2, labels.size)), labels)
+            h = int(rng.integers(1, sizes.min()))
+            spec = SplitSpec(h, seed=trial, replicate_index=trial % 3)
+            got, want = split_indices(data, spec), mask_split(data, spec)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_take_columns_keeps_features_and_labels_aligned(self):
         data = _toy()
         sub = take_columns(data, np.array([2, 3, 5]))
@@ -172,6 +210,22 @@ class TestSyntheticClusters:
     def test_single_class(self):
         data = make_synthetic_clusters(1, 5, 3, 2.0, seed=0)
         assert data.num_classes == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 5, 3, 1.0), "n_classes, n_per_class and dim must be >= 1"),
+            ((2, 0, 3, 1.0), "n_classes, n_per_class and dim must be >= 1"),
+            ((2, 5, 0, 1.0), "n_classes, n_per_class and dim must be >= 1"),
+            ((2, 5, 3, -1.0), "separation must be finite and >= 0"),
+            ((2, 5, 3, np.inf), "separation must be finite and >= 0"),
+            ((2, 5, 3, np.nan), "separation must be finite and >= 0"),
+        ],
+        ids=["no-classes", "no-samples", "no-dims", "negative", "inf", "nan"],
+    )
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_clusters(*args)
 
     def test_deterministic_per_seed(self):
         a = make_synthetic_clusters(2, 5, 4, 3.0, seed=11)
@@ -248,6 +302,18 @@ class TestFileFormats:
         path.write_text("1.0,1\n")
         with pytest.raises(ValueError, match="unknown format"):
             load_labeled_matrix(str(path), format="fancy")
+
+
+    def test_pair_format_needs_a_labels_path(self, tmp_path):
+        path = str(tmp_path / "x.txt")
+        with pytest.raises(ValueError, match="pair format requires labels_path"):
+            save_labeled_matrix(_toy(), path, format="pair")
+        with pytest.raises(ValueError, match="pair format requires labels_path"):
+            load_labeled_matrix(path, format="pair")
+
+    def test_save_rejects_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format: 'fancy'"):
+            save_labeled_matrix(_toy(), str(tmp_path / "d.csv"), format="fancy")
 
 
 class TestParseErrors:

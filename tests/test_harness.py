@@ -319,27 +319,15 @@ class TestEvaluateExperiment:
 
 
 class TestDegenerateFeatures:
-    def test_all_zero_features(self, monkeypatch):
-        # ddlic trains through the pseudo-inverse fallback to chance accuracy;
-        # every ddl replicate fails on its zero dictionary
+    def test_all_zero_features(self):
+        # both trainers reject the features before any layer trains
         data = LabeledMatrix(np.zeros((10, 24)), np.repeat(np.arange(3), 8))
-        pinv, pinv_calls = np.linalg.pinv, []
-
-        def counted_pinv(a):
-            pinv_calls.append(a.shape)
-            return pinv(a)
-
-        monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
-        report = evaluate_experiment(small_config(), data)
-        assert pinv_calls
-        assert report.n_failed == 0
-        assert [r.accuracy for r in report.replicates] == [1 / 3] * 3
-        assert report.scatter_means == (0.0, 0.0, 0.0)
-        report = evaluate_experiment(small_config(method="ddl"), data)
-        assert report.n_failed == 3
-        assert {r.error for r in report.replicates} == {
-            "ValueError: dictionary has zero spectral norm; cannot derive a step size"
-        }
+        for method in ("ddlic", "ddl"):
+            report = evaluate_experiment(small_config(method=method), data)
+            assert report.n_failed == 3
+            assert {r.error for r in report.replicates} == {
+                "ValueError: features are all zero; no layer can learn from them"
+            }
 
     @pytest.mark.parametrize("method", ["ddlic", "ddl"])
     def test_constant_feature_row(self, method):
@@ -671,6 +659,16 @@ class TestConfigFiles:
     def test_bad_number_mentions_key(self):
         with pytest.raises(ValueError, match="seed"):
             build_experiment_config({"data": "x.csv", "seed": "soon"})
+
+    def test_bad_boolean_mentions_key(self):
+        with pytest.raises(ValueError) as err:
+            build_experiment_config({"data": "x.csv", "normalize": "maybe"})
+        assert str(err.value) == "config key 'normalize': expected a boolean, got 'maybe'"
+
+    def test_unknown_key_in_values_rejected(self):
+        with pytest.raises(ValueError) as err:
+            build_experiment_config({"data": "x.csv", "seeds": "1", "daat": "y.csv"})
+        assert str(err.value) == "unknown config keys: daat, seeds"
 
     def test_dataset_must_be_configured(self):
         with pytest.raises(ValueError, match="no dataset"):

@@ -177,6 +177,11 @@ class TestPenaltyAndObjective:
         want = _per_class_penalty(codes, class_index)
         assert abs(got - want) <= 1e-12 * want
 
+    def test_column_gradient_rejects_column_outside_its_class(self):
+        inputs, dictionary, codes, class_index = _instance(31)
+        with pytest.raises(ValueError, match="col must belong to class_cols"):
+            column_gradient(dictionary, inputs, codes, 0.1, class_index[0], class_index[1][0])
+
     def test_penalty_rejects_class_index_that_is_not_a_partition(self):
         with pytest.raises(ValueError, match="partition"):
             compactness_penalty(np.zeros((2, 6)), (np.arange(3), np.arange(2, 5)))
@@ -384,6 +389,13 @@ class TestClosedFormUpdates:
             update_representations(dictionary, inputs, codes, bad, class_index)
         with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
             layer_objective(inputs, dictionary, codes, bad, class_index)
+
+    def test_sweep_rejects_mismatched_shapes(self):
+        inputs, dictionary, codes, class_index = _instance(30)
+        with pytest.raises(ValueError, match="dictionary rows must match the input dimension"):
+            update_representations(dictionary[1:], inputs, codes, 0.1, class_index)
+        with pytest.raises(ValueError, match=r"codes shape must be \(n_atoms, n_samples\)"):
+            update_representations(dictionary, inputs, codes[1:], 0.1, class_index)
 
     @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
     def test_sweep_returns_c_contiguous_codes(self, alpha):

@@ -1,6 +1,7 @@
 """Gram solves, dictionary initialization, and the sparse coding loop."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -281,6 +282,13 @@ class TestSpectralNorm:
             got = gram_spectral_norm(gram)
             assert abs(got - want) / want < 1e-6
 
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_zero_gram_has_zero_norm(self, k):
+        # the power iteration stops at its first zero product; for k = 0 that is empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gram_spectral_norm(np.zeros((k, k))) == 0.0
+
 
 class TestSparseCoding:
     def test_identity_dictionary_soft_threshold_exact(self):
@@ -460,3 +468,51 @@ class TestSettingsRejectNonFinite:
             ExperimentConfig(layer_sizes=(4,), alphas=(0.1,), l1_weight=bad)
         with pytest.raises(ValueError, match="alpha_grid must be non-empty with finite"):
             ExperimentConfig(layer_sizes=(4,), alphas=(0.1,), alpha_grid=(0.0, bad))
+
+
+# Each call breaks one input check; the match is that check's own message.
+SHAPE_CHECKS = {
+    "gram_solver_non_square": (
+        lambda: gram_solver(np.eye(3)[:, :2]), "gram must be square"),
+    "dictionary_solve_vector_inputs": (
+        lambda: solve_least_squares_dictionary(np.ones(4), np.ones((2, 4))),
+        "inputs and codes must be 2-D matrices"),
+    "dictionary_solve_no_code_rows": (
+        lambda: solve_least_squares_dictionary(np.ones((3, 4)), np.ones((0, 4))),
+        "codes must have at least one row"),
+    "ridge_code_vector_inputs": (
+        lambda: ridge_code(np.eye(3), np.ones(3)), "dictionary and inputs must be 2-D matrices"),
+    "ridge_code_row_mismatch": (
+        lambda: ridge_code(np.eye(3), np.ones((4, 2))),
+        "row counts differ: dictionary has 3, inputs has 4"),
+    "qr_init_vector_data": (
+        lambda: qr_orthonormal_init(np.ones(5), 1), "data must be a 2-D matrix"),
+    "qr_init_no_atoms": (
+        lambda: qr_orthonormal_init(np.ones((3, 5)), 0), "n_atoms must be >= 1"),
+    "random_init_no_rows": (
+        lambda: random_dictionary_init(0, 3), "rows and cols must be >= 1"),
+    "random_init_no_cols": (
+        lambda: random_dictionary_init(3, 0), "rows and cols must be >= 1"),
+    "initial_dictionary_unknown_mode": (
+        lambda: initial_dictionary(np.ones((3, 5)), 2, 1, "svd", 0), "unknown init mode: 'svd'"),
+    "initial_dictionary_layer_zero": (
+        lambda: initial_dictionary(np.ones((3, 5)), 2, 0, "random", 0),
+        "layer numbering starts at 1"),
+    "ista_config_no_iterations": (
+        lambda: IstaConfig(max_iters=0), "max_iters must be >= 1"),
+    "ista_vector_inputs": (
+        lambda: ista_sparse_code(np.eye(3), np.ones(3), 0.1),
+        "dictionary and inputs must be 2-D matrices"),
+    "ista_row_mismatch": (
+        lambda: ista_sparse_code(np.eye(3), np.ones((4, 2)), 0.1),
+        "row counts differ: dictionary has 3, inputs has 4"),
+    "ista_warm_start_shape": (
+        lambda: ista_sparse_code(np.eye(3), np.ones((3, 2)), 0.1, warm_start=np.zeros((2, 3))),
+        "warm_start has the wrong shape"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_CHECKS.values(), ids=SHAPE_CHECKS.keys())
+def test_input_checks_reject_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
