@@ -19,6 +19,7 @@ from .data import make_synthetic_clusters, save_labeled_matrix
 from .harness import (
     _BOOL,
     CONFIG_KEYS,
+    _aggregate_lines,
     _fmt,
     _require_a_replicate,
     _write_csv,
@@ -118,11 +119,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = run_experiment(cfg)  # writes the report files, failed replicates included
     _require_a_replicate([report], "replicate")
     print(f"method: {report.method}")
-    print(f"replicates: {len(report.replicates)} ({report.n_failed} failed)")
-    print(f"mean_accuracy: {report.mean_accuracy!r}")
-    print(f"std_accuracy: {report.std_accuracy!r}")
-    for name, value in zip(report.scatter_names, report.scatter_means):
-        print(f"mean_scatter_{name}: {value!r}")
+    print(*_aggregate_lines(report), sep="\n")
     if cfg.out_dir is not None:
         print(f"report written to {cfg.out_dir}")
     return 0

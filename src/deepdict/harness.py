@@ -390,6 +390,17 @@ def _write_csv(out_dir: str, name: str, header: list, rows) -> str:
     return path
 
 
+def _aggregate_lines(report: ExperimentReport) -> list[str]:
+    """The replicate count, accuracy and scatter lines of ``summary.txt`` and ``experiment``."""
+    scatter = zip(report.scatter_names, report.scatter_means)
+    return [
+        f"replicates: {len(report.replicates)} ({report.n_failed} failed)",
+        f"mean_accuracy: {_fmt(report.mean_accuracy)}",
+        f"std_accuracy: {_fmt(report.std_accuracy)}",
+        *(f"mean_scatter_{name}: {_fmt(value)}" for name, value in scatter),
+    ]
+
+
 def _write_report_files(report: ExperimentReport, cfg: ExperimentConfig) -> None:
     scatter_names = report.scatter_names
     rows = []
@@ -417,12 +428,7 @@ def _write_report_files(report: ExperimentReport, cfg: ExperimentConfig) -> None
             fh.write(f"alphas: {', '.join(_fmt(a) for a in report.alphas)}\n")
         else:
             fh.write(f"l1_weight: {_fmt(report.l1_weight)}\n")
-        n = len(report.replicates)
-        fh.write(f"replicates: {n} ({report.n_failed} failed)\n")
-        fh.write(f"mean_accuracy: {_fmt(report.mean_accuracy)}\n")
-        fh.write(f"std_accuracy: {_fmt(report.std_accuracy)}\n")
-        for name, value in zip(report.scatter_names, report.scatter_means):
-            fh.write(f"mean_scatter_{name}: {_fmt(value)}\n")
+        fh.writelines(line + "\n" for line in _aggregate_lines(report))
         fh.write(f"wall_seconds: {report.wall_seconds:.3f}\n")
         for res in report.replicates:
             status = "failed: " + res.error if res.failed else (

@@ -1,7 +1,10 @@
 """Every import in the package source is used, or marked as a deliberate re-export."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,53 @@ def test_checker_finds_unused_and_honours_the_marker():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["line 2: csv", "line 7: Iterator"]
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout's ``deepdict``."""
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_package_imports_no_scipy_linalg_or_sparse():
+    loaded = run_fresh(
+        "import sys\n"
+        "import deepdict, deepdict.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+    )
+    assert loaded == "['scipy.linalg._flapack']\n"
+
+
+@pytest.mark.parametrize(
+    "imports",
+    ["import deepdict, deepdict.cli\nimport scipy.linalg\n",
+     "import scipy.linalg\nimport deepdict, deepdict.cli\n"],
+    ids=["deepdict-first", "scipy-first"],
+)
+def test_lapack_wrappers_are_scipys_own(imports):
+    same = run_fresh(
+        imports + "import numpy as np\n"
+        "from deepdict import kernels\n"
+        "potrf, potrs = scipy.linalg.get_lapack_funcs(('potrf', 'potrs'), dtype=np.float64)\n"
+        "print(potrf is kernels._POTRF, potrs is kernels._POTRS)\n"
+    )
+    assert same == "True True\n"
+
+
+def test_missing_lapack_module_is_named(tmp_path):
+    """Without SciPy's wrapper module the import fails and names it; there is no fallback."""
+    fake_init = tmp_path / "scipy" / "__init__.py"
+    raised = run_fresh(
+        "import scipy\n"
+        f"scipy.__file__ = {str(fake_init)!r}\n"
+        "try:\n"
+        "    import deepdict\n"
+        "except ImportError as exc:\n"
+        "    print(exc.name, exc)\n"
+    )
+    assert raised == (
+        "scipy.linalg._flapack cannot find SciPy's LAPACK wrapper module scipy.linalg._flapack\n"
+    )

@@ -252,6 +252,15 @@ class TestInitialization:
         basis = qr_orthonormal_init(data, 5, seed=1)
         assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [float, np.float32, int])
+    @pytest.mark.parametrize("k0,n_atoms", [(1, 1), (6, 1), (6, 4), (6, 6)])
+    def test_qr_init_of_zero_columns_is_the_seeded_random_basis(self, k0, n_atoms, dtype):
+        basis = qr_orthonormal_init(np.empty((k0, 0), dtype=dtype), n_atoms, seed=3)
+        want, _ = np.linalg.qr(RNG(3).standard_normal((k0, n_atoms)))
+        assert basis.dtype == np.float64
+        assert np.array_equal(basis, want)
+        assert np.allclose(basis.T @ basis, np.eye(n_atoms), atol=1e-12)
+
     def test_qr_init_rejects_impossible_width(self):
         with pytest.raises(ValueError, match="orthonormal"):
             qr_orthonormal_init(np.zeros((3, 10)), 4)
