@@ -275,6 +275,28 @@ def _read_labels(path: str) -> np.ndarray:
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
+# Bytes per buffered read of a dense file. The default 8 KiB buffer reads
+# a longer line (784 features take about 15 KiB) in pieces and joins them.
+_READ_BUFFER = 1 << 16
+
+
+def _dense_width(path: str) -> int:
+    """The first line's field count, or 0 when the line parser must decide:
+    a byte outside ``_FAST_BYTES``, no lines, or a label holding ``.``,
+    ``e`` or ``E``. One pass that keeps no line."""
+    width = 0
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for physical in fh:
+            for line in physical.splitlines():  # a bare \r ends a line too
+                if line.translate(None, _FAST_BYTES):
+                    return 0
+                label = line[line.rfind(b",") + 1:]
+                if b"." in label or b"e" in label or b"E" in label:
+                    return 0
+                width = width or line.count(b",") + 1
+    return width
+
+
 def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
     """One ``np.loadtxt`` conversion, or the line parser wherever NumPy
     might read the file differently or the file holds an error.
@@ -282,19 +304,18 @@ def _read_dense(path: str) -> tuple[np.ndarray, np.ndarray]:
     Only inputs on which ``np.loadtxt`` cannot warn reach it, so no warning
     filter is needed: the first line holds a comma, so the input is not
     empty, and no label holds ``.``, ``e`` or ``E``, which older NumPy
-    reads as an integer via a float with a DeprecationWarning.
+    reads as an integer via a float with a DeprecationWarning. The file is
+    read twice, in pieces, and its text is never held whole.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = [] if raw.translate(None, _FAST_BYTES) else raw.splitlines()
-    width = lines[0].count(b",") + 1 if lines else 0
-    labels = (line[line.rfind(b",") + 1:] for line in lines)
-    if width < 2 or any(b"." in y or b"e" in y or b"E" in y for y in labels):
+    width = _dense_width(path)
+    if width < 2:
         return _read_dense_lines(path)
     # width - 1 float features plus one int64 label, as the first line has
     dtype = [("f", float, (width - 1,)), ("y", np.int64)]
     try:
-        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        # text mode ends lines where bytes.splitlines() does; the bytes are ASCII
+        with open(path, encoding="ascii") as fh:
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return _read_dense_lines(path)
     if not np.isfinite(rows["f"]).all():
@@ -347,17 +368,18 @@ def save_labeled_matrix(
     labels_path: str | None = None,
 ) -> None:
     """Write a LabeledMatrix to disk; the native formats round-trip bit-exactly."""
+    # one row at a time as Python floats, so the matrix is never converted whole
     orig = data.original_labels
     if format == "dense":
         with open(path, "w") as fh:
-            for row, label in zip(data.features.T.tolist(), orig.tolist()):
-                fh.write(f"{','.join(map(repr, row))},{label}\n")
+            for row, label in zip(data.features.T, orig.tolist()):
+                fh.write(f"{','.join(map(repr, row.tolist()))},{label}\n")
     elif format == "pair":
         if labels_path is None:
             raise ValueError("pair format requires labels_path")
         with open(path, "w") as fh:
-            for row in data.features.tolist():
-                fh.write(" ".join(map(repr, row)) + "\n")
+            for row in data.features:
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
         with open(labels_path, "w") as fh:
             fh.writelines(f"{int(v)}\n" for v in orig)
     else:

@@ -280,38 +280,57 @@ def _run_replicate(cfg: ExperimentConfig, data: LabeledMatrix, r: int) -> Replic
 
 
 # NumPy and SciPy each load their own OpenBLAS copy, with its own thread count.
+# Each symbol names the copy's thread-count setter with "{}" for "set" or "get".
 _OPENBLAS_THREAD_SETTERS = (
-    (np, "scipy_openblas_set_num_threads64_"),
-    (scipy, "scipy_openblas_set_num_threads"),
+    (np, "scipy_openblas_{}_num_threads64_"),
+    (scipy, "scipy_openblas_{}_num_threads"),
 )
 
 
-def _one_blas_thread() -> None:
-    """Worker initializer: limit both OpenBLAS copies to one thread.
+def _one_blas_thread() -> Callable[[], None]:
+    """Limit both OpenBLAS copies to one thread; return what restores their counts.
 
-    OpenBLAS starts one thread per core in every process, so parallel
-    workers would compete for the same cores. A worker whose library or
-    symbol is missing runs unchanged.
+    OpenBLAS starts one thread per core in every process. Parallel workers
+    would compete for the same cores, and a serial run is slower with more
+    threads at these sizes and sums in a different order than a worker does.
+    So workers (as pool initializer) and serial runs both use one thread. A
+    copy whose library or symbol is missing is left unchanged.
     """
+    saved = []  # (setter, thread count before)
     for package, symbol in _OPENBLAS_THREAD_SETTERS:
         libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
         for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-            setter = getattr(ctypes.CDLL(path), symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+            lib = ctypes.CDLL(path)
+            get, set_threads = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                saved.append((set_threads, get()))
+                set_threads(1)
+
+    def restore() -> None:
+        for set_threads, count in saved:
+            set_threads(count)
+
+    return restore
 
 
 @contextmanager
 def _replicate_pool(workers: int, tasks: int):
-    """A fork pool of ``min(workers, tasks)`` processes, or ``None`` at width 1.
+    """A pool of ``min(workers, tasks)`` processes, or ``None`` at width 1.
 
-    Its workers all start at the first submit. An exception in the block
-    cancels the queued tasks, so the pool waits only for the running ones.
+    The pool uses the platform's default start method, and its workers all
+    start at the first submit. An exception in the block cancels the queued
+    tasks, so the pool waits only for the running ones. At width 1 the
+    caller runs the tasks itself, with one BLAS thread for the block.
     """
     width = min(workers, tasks)
     if width == 1:
-        yield None
+        restore = _one_blas_thread()
+        try:
+            yield None
+        finally:
+            restore()
         return
     with ProcessPoolExecutor(max_workers=width, initializer=_one_blas_thread) as pool:
         try:

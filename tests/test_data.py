@@ -1,5 +1,6 @@
 """Dataset container, file formats, splits, and synthetic generation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -439,8 +440,8 @@ def _mutate(draw, rows):
 
 def _render(draw, rows, sep):
     """``rows`` as file text: padded fields, blank and whitespace-only
-    lines, LF or CRLF endings, and an optional last line ending."""
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines, LF, CRLF or bare CR endings, and an optional last line ending."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = []
     for row in rows:
         lines += draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=2))
@@ -496,6 +497,13 @@ class TestFastParse:
         assert feats.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
         assert labels.tolist() == [1, 2] and labels.dtype == np.int64
 
+    def test_bare_carriage_returns_end_lines(self, tmp_path, line_parser_calls):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"1.0,2.0,1\r3.0,4.0,2\r\r5.0,6.0,1\n7.0,8.0,3\r")
+        _check_dense(path)
+        assert line_parser_calls == []
+        assert dd._read_dense(str(path))[0].shape == (2, 4)
+
     @pytest.mark.parametrize("text", [
         "1_0,2.0,1\n",                               # float() reads 10.0
         "1.0,2.0,\u0661\n",                          # int() reads Arabic-Indic 1
@@ -527,6 +535,38 @@ class TestFastParse:
         path.write_text(f"1.0,2.0,1\n1.0,2.0,{label}\n")
         with pytest.raises(ValueError, match=f"2: label '{label}' is not an integer"):
             load_labeled_matrix(str(path))
+
+
+def _peak_bytes(call):
+    """The most memory ``call()`` held at once beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseFileMemory:
+    """Dense files are read and written in pieces: neither the file's text
+    nor the matrix as Python floats is ever held whole."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = LabeledMatrix(rng.standard_normal((200, 600)), rng.integers(0, 10, 600))
+        path = tmp_path / "d.csv"
+        save_labeled_matrix(data, str(path))
+        return data, str(path)
+
+    def test_load_peaks_below_three_matrices(self, written):
+        data, path = written
+        assert _peak_bytes(lambda: load_labeled_matrix(path)) <= 3 * data.features.nbytes
+
+    def test_save_peaks_below_half_a_matrix(self, written):
+        data, path = written
+        assert _peak_bytes(lambda: save_labeled_matrix(data, path)) <= data.features.nbytes / 2
 
 
 def test_save_writes_shortest_reprs(tmp_path):

@@ -4,6 +4,8 @@ import ctypes
 import glob
 import math
 import os
+import subprocess
+import sys
 import time
 from collections import namedtuple
 from concurrent.futures import Future
@@ -267,6 +269,24 @@ class TestEvaluateExperiment:
             for set_threads, count in zip(sets, saved):
                 set_threads(count)
 
+    @pytest.mark.parametrize("workers, replicates", [(1, 3), (2, 1)])
+    def test_serial_runs_hold_one_blas_thread_and_restore_it(
+        self, monkeypatch, workers, replicates
+    ):
+        sets, gets = _openblas_calls("set"), _openblas_calls("get")
+        saved = [get() for get in gets]
+        monkeypatch.setattr(harness, "_run_replicate", _report_blas_threads)
+        try:
+            for set_threads in sets:
+                set_threads(2)
+            cfg = small_config(workers=workers, replicates=replicates)
+            results = harness._run_replicates(cfg, None)
+            assert [res.counts for res in results] == [(1, 1)] * replicates
+            assert [get() for get in gets] == [2, 2]
+        finally:
+            for set_threads, count in zip(sets, saved):
+                set_threads(count)
+
     @pytest.mark.parametrize("workers, replicates, pools", [(16, 2, [2]), (2, 1, []), (2, 3, [2])])
     def test_pool_is_never_wider_than_the_replicate_count(
         self, monkeypatch, workers, replicates, pools
@@ -316,6 +336,27 @@ class TestEvaluateExperiment:
             r.accuracy for r in parallel.replicates
         ]
         assert serial.replicates[-1].scatter == parallel.replicates[-1].scatter
+
+    def test_workers_reproduce_a_serial_report_with_blas_threads_unset(self, tmp_path):
+        """A 400-atom layer is large enough for OpenBLAS to start a thread per
+        core when its thread variables are unset. A serial run that kept
+        those threads would sum in another order than a worker, and its
+        scatter columns would differ in their last digits. On a one-core
+        host OpenBLAS starts no thread, so this passes either way."""
+        data = tmp_path / "d.csv"
+        save_labeled_matrix(make_synthetic_clusters(3, 8, 420, 3.0, seed=0), str(data))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(harness.__file__))
+        for workers in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "deepdict.cli", "experiment", "--data", str(data),
+                 "--h", "4", "--layer-sizes", "400", "--iters", "1", "--replicates", "2",
+                 "--workers", workers, "--out", str(tmp_path / workers)],
+                env=env, capture_output=True, check=True,
+            )
+        serial, parallel = ((tmp_path / w / "report.csv").read_bytes() for w in ("1", "2"))
+        assert serial == parallel
 
 
 class TestDegenerateFeatures:
