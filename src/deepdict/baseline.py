@@ -144,18 +144,28 @@ def train_sparse_layer(
     l1_weight: float,
     ista_cfg: IstaConfig = IstaConfig(),
     policy: RidgePolicy = DEFAULT_RIDGE,
+    layer: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final layer: closed-form dictionary solve alternated with sparse coding.
 
     The coding step is warm-started from the current codes, so the recorded
     penalized-objective trace is non-increasing. Returns
-    (dictionary, codes, trace).
+    (dictionary, codes, trace). Sparse codes that are all zero refresh to a
+    zero dictionary, from which ISTA derives no step size; that refresh
+    raises ``ValueError`` naming ``layer`` (the layer's place in its stack)
+    and ``l1_weight``.
     """
+
+    def code_step(dictionary, codes):
+        if ista_cfg.step is None and not codes.any():
+            raise ValueError(
+                f"layer {layer}: every sparse code is zero at l1_weight={l1_weight!r}, "
+                "so the refreshed dictionary is zero"
+            )
+        return ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
+
     return alternate_layer(
-        inputs, init_dict, n_iters,
-        lambda dictionary, codes: ista_sparse_code(
-            dictionary, inputs, l1_weight, ista_cfg, warm_start=codes
-        ),
+        inputs, init_dict, n_iters, code_step,
         lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, l1_weight),
         policy,
     )
@@ -193,7 +203,7 @@ def train_ddl(features: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DdlMode
         if layer < cfg.depth:
             return train_dense_layer(inputs, init, cfg.iters_per_layer, cfg.ridge)
         return train_sparse_layer(
-            inputs, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge
+            inputs, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge, layer
         )
 
     dictionaries, layer_codes, traces = train_stack(features, cfg, train_one)

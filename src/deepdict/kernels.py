@@ -7,6 +7,7 @@ read-only matrices. Samples are columns throughout.
 
 from __future__ import annotations
 
+import copy
 import importlib.machinery
 import importlib.util
 import math
@@ -57,10 +58,11 @@ DEFAULT_RIDGE = RidgePolicy()
 
 
 def _lapack_cholesky():
-    """LAPACK's ``dpotrf`` and ``dpotrs`` from SciPy's compiled wrapper module alone.
+    """LAPACK's ``dpotrf``, ``dpotrs``, ``dpocon`` and ``dpotri`` from SciPy's
+    compiled wrapper module alone.
 
     Importing ``scipy.linalg`` also imports ``scipy.sparse`` and most of SciPy
-    (about 24 MB and 0.2 s per process with SciPy 1.17), for two routines. The
+    (about 24 MB and 0.2 s per process with SciPy 1.17), for four routines. The
     module is registered under its own name, so a later ``import scipy.linalg``
     reuses it and ``get_lapack_funcs`` returns these same wrapper objects.
     """
@@ -75,12 +77,12 @@ def _lapack_cholesky():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
-    return module.dpotrf, module.dpotrs
+    return module.dpotrf, module.dpotrs, module.dpocon, module.dpotri
 
 
 # Called directly: the scipy.linalg.cho_factor/cho_solve wrappers cost about
 # ten times the LAPACK work on the small systems the trainers solve per column.
-_POTRF, _POTRS = _lapack_cholesky()
+_POTRF, _POTRS, _POCON, _POTRI = _lapack_cholesky()
 
 
 def _require_finite(array: np.ndarray, name: str) -> None:
@@ -383,6 +385,13 @@ class _Lasso:
         self.sq_inputs = np.einsum("ij,ij->j", inputs, inputs)
         self.scratch = np.empty(corr.shape)
 
+    def columns(self, cols: np.ndarray, corr: np.ndarray, scratch: np.ndarray) -> _Lasso:
+        """The same problem on the columns ``cols`` alone, in the given buffers."""
+        part = copy.copy(self)
+        part.corr = np.take(self.corr, cols, axis=1, out=corr)
+        part.sq_inputs, part.scratch = self.sq_inputs[cols], scratch
+        return part
+
     def step_into(self, out: np.ndarray, codes: np.ndarray, gram_codes: np.ndarray) -> None:
         """One ISTA step from ``codes``: soft-threshold ``codes - step * gradient``."""
         shifted = self.scratch
@@ -458,6 +467,178 @@ def _accelerate(lasso: _Lasso, codes, gram_codes, budget: int, rel_tol: float, t
     return kept, iters
 
 
+_ACTIVE_SET_ROUNDS = 8  # at most this many active-set rounds per call
+_ACTIVE_SET_RCOND = 1e-8  # below this estimate of 1/cond(gram) the rounds are skipped
+
+
+def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
+    """``gram``'s inverse from its Cholesky factor, or None when it does not
+    factor or LAPACK's ``dpocon`` estimates it to be ill-conditioned."""
+    factor, info = _POTRF(gram, lower=0, clean=1)
+    if info != 0:
+        return None
+    rcond, info = _POCON(factor, float(np.abs(gram).sum(axis=0).max()))
+    if info != 0 or not rcond >= _ACTIVE_SET_RCOND:
+        return None
+    inverse, _ = _POTRI(factor, lower=0, overwrite_c=1)  # fills the upper triangle
+    return np.triu(inverse) + np.triu(inverse, 1).T
+
+
+def _restricted_solve(lasso: _Lasso, inverse, signs, out) -> None:
+    """Each column's lasso optimum for a fixed support and signs, into ``out``.
+
+    Column ``j`` solves ``gram[A, A] z_A = corr[A, j] - l1_weight/2 * signs[A, j]``
+    on its support ``A`` (the nonzero ``signs``), with zeros elsewhere. All
+    columns take one product with ``inverse``. A column's ``m`` excluded atoms
+    then get Lagrange multipliers from an ``m × m`` solve on ``inverse``'s
+    Schur complement, which a second product with ``inverse`` applies; when
+    the support is the smaller set, it is solved on directly instead.
+    Columns are grouped by ``m`` and batched at most about ``out.size``
+    matrix entries at a time.
+    """
+    k, n = out.shape
+    rhs = lasso.scratch
+    np.multiply(signs, -0.5 * lasso.l1_weight, out=rhs)
+    rhs += lasso.corr
+    np.matmul(inverse, rhs, out=out)
+    excluded = signs == 0
+    counts = np.count_nonzero(excluded, axis=0)
+    multipliers, direct = None, []
+    for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        schur = m <= k - m
+        size = m if schur else k - m
+        columns = np.flatnonzero(counts == m)
+        step = max(1, out.size // max(1, size * size))
+        for start in range(0, columns.size, step):
+            cols = columns[start:start + step]
+            atoms = np.nonzero((excluded if schur else ~excluded)[:, cols].T)[1]
+            atoms = atoms.reshape(cols.size, size)
+            if schur:
+                block = inverse[atoms[:, :, None], atoms[:, None, :]]
+                if multipliers is None:
+                    multipliers = np.zeros_like(out)
+                multipliers[atoms, cols[:, None]] = np.linalg.solve(
+                    block, out[atoms, cols[:, None]][..., None])[..., 0]
+            else:
+                block = lasso.gram[atoms[:, :, None], atoms[:, None, :]]
+                direct.append((atoms, cols, np.linalg.solve(
+                    block, rhs[atoms, cols[:, None]][..., None])[..., 0]))
+    if multipliers is not None:  # the right-hand sides are spent, so their buffer takes the product
+        out -= np.matmul(inverse, multipliers, out=rhs)
+    out[excluded] = 0.0
+    for atoms, cols, solution in direct:
+        out[atoms, cols[:, None]] = solution
+
+
+def _segment_minimum(lasso: _Lasso, codes, gram_codes, delta, gram_delta) -> np.ndarray:
+    """Per column, the ``t`` in [0, 1] that minimizes the objective at ``codes + t * delta``.
+
+    Along the segment the objective's slope is ``a t + b`` plus a step that
+    rises by ``2 * l1_weight * |delta_i|`` where entry ``i`` crosses zero. The
+    minimum lies where that slope changes sign: in the first piece for most
+    columns, otherwise found by walking the sorted crossings.
+    """
+    curvature = 2.0 * np.einsum("ij,ij->j", delta, gram_delta)
+    slope = 2.0 * np.einsum("ij,ij->j", delta, gram_codes)
+    slope -= 2.0 * np.einsum("ij,ij->j", delta, lasso.corr)
+    signs = np.sign(codes, out=lasso.scratch)  # a zero entry moves the way of ``delta``
+    zero = codes == 0
+    signs[zero] = np.sign(delta[zero])
+    slope += lasso.l1_weight * np.einsum("ij,ij->j", signs, delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = np.divide(codes, delta)
+        np.negative(crossing, out=crossing)
+        crossing[~((crossing > 0) & (crossing < 1))] = np.inf
+        t = np.clip(np.nan_to_num(-slope / curvature, nan=0.0), 0.0, 1.0)
+        walk = np.flatnonzero(t > crossing.min(axis=0))
+        chunk = max(1, t.size // 4)  # bounds the sort's buffers to about a quarter of ``codes``
+        for start in range(0, walk.size, chunk):
+            cols = walk[start:start + chunk]
+            ends = crossing[:, cols].T  # one row per column, contiguous for the sort
+            order = np.argsort(ends, axis=1)
+            ends = np.take_along_axis(ends, order, axis=1)
+            offsets = np.take_along_axis(np.abs(delta[:, cols].T), order, axis=1)
+            del order
+            offsets[np.isinf(ends)] = 0.0
+            np.cumsum(offsets, axis=1, out=offsets)
+            offsets *= 2.0 * lasso.l1_weight
+            offsets += slope[cols, None]
+            # the slope just before crossing j is negative for each crossing passed
+            passed = np.count_nonzero(
+                curvature[cols, None] * ends[:, 1:] + offsets[:, :-1] < 0, axis=1
+            ) + 1
+            rows = np.arange(cols.size)
+            last = ends.shape[1] - 1
+            upper = np.where(passed <= last, ends[rows, np.minimum(passed, last)], 1.0)
+            t[cols] = np.clip(-offsets[rows, passed - 1] / curvature[cols],
+                              ends[rows, passed - 1], np.minimum(upper, 1.0))
+    return t
+
+
+def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
+    """Primal-dual active-set rounds (Hintermüller, Ito & Kunisch 2003) from ``codes``.
+
+    Each round takes an ISTA step from the codes and reads every column's
+    support and signs off it. A column is solved on them exactly
+    (``_restricted_solve``) in the first round, when they differ from those
+    it was last solved for, or when the last round moved it only part of the
+    way. It moves from the ISTA step to the lowest point on the segment to
+    that solution (``_segment_minimum``), and keeps the result when its
+    objective is lower, in ``codes`` and ``gram_codes`` in place. Stops
+    once no column's support or signs differ, or after ``budget`` rounds.
+    Returns the rounds run, none when ``_gram_inverse`` finds the Gram
+    matrix unfit. ``trace``, if a list, gets the kept codes' objective
+    after every round.
+    """
+    inverse = _gram_inverse(lasso.gram) if budget > 0 else None
+    if inverse is None:
+        return 0
+    best = lasso.objective(codes, gram_codes)
+    solved = None
+    stepped = np.empty_like(codes)
+    pending = np.ones(codes.shape[1], dtype=bool)
+    k, n = codes.shape
+    # A round's arrays are views into these, whatever its width, so that
+    # rounds reuse one block of memory instead of fragmenting the heap.
+    rows = np.empty((6, k * n))
+    for rounds in range(budget):
+        lasso.step_into(stepped, codes, gram_codes)
+        signs = np.sign(stepped).astype(np.int8)
+        if solved is not None:
+            changed = (signs != solved).any(axis=0)
+            if not changed.any():
+                return rounds
+            pending |= changed
+        solved = signs
+        cols = np.flatnonzero(pending)
+        start, gram_start, delta, gram_delta, corr, scratch = (
+            row[: k * cols.size].reshape(k, cols.size) for row in rows
+        )
+        np.take(stepped, cols, axis=1, out=start)
+        part = lasso.columns(cols, corr, scratch)
+        np.matmul(lasso.gram, start, out=gram_start)
+        _restricted_solve(part, inverse, signs[:, cols], delta)
+        np.matmul(lasso.gram, delta, out=gram_delta)
+        delta -= start
+        gram_delta -= gram_start
+        t = _segment_minimum(part, start, gram_start, delta, gram_delta)
+        delta *= t
+        start += delta
+        gram_delta *= t
+        gram_start += gram_delta
+        objective = part.objective(start, gram_start)
+        better = objective < best[cols]
+        kept = cols[better]
+        pending[:] = False
+        pending[kept] = t[better] < 1.0  # moved, but not all the way to its solution
+        codes[:, kept] = start[:, better]
+        gram_codes[:, kept] = gram_start[:, better]
+        best[kept] = objective[better]
+        if trace is not None:
+            trace.append(float(best.sum()))
+    return budget
+
+
 def ista_sparse_code(
     dictionary: np.ndarray,
     inputs: np.ndarray,
@@ -469,18 +650,28 @@ def ista_sparse_code(
     """Sparse codes minimizing reconstruction error plus an L1 penalty.
 
     Solves ``min_Z ||inputs - dictionary @ Z||_F^2 + l1_weight * ||Z||_1``
-    in two phases. FISTA (Beck & Teboulle 2009) with per-column adaptive
-    restart (O'Donoghue & Candes 2015) runs from the warm start and keeps
-    each column's best codes; plain soft-thresholding (ISTA) steps then run
-    from the kept codes until one moves them by at most ``cfg.rel_tol``
-    times their norm. That last step's result is returned, so the codes are
-    certified by ISTA's stopping rule. ``cfg.max_iters`` bounds the
-    iterations of both phases together; stopping there before the rule
-    holds issues a ``RuntimeWarning`` (one fixed message, so Python's
-    default filter shows it once per calling line). With the auto-derived
-    step the objective of the kept and returned codes is non-increasing.
-    When ``return_trace`` is true, also returns that objective at the start
-    and after every iteration, so ``len(trace) - 1`` iterations ran; the
+    in three phases. Primal-dual active-set rounds (Hintermüller, Ito &
+    Kunisch 2003) run first, from the warm start or from zero codes. Each
+    reads every column's support and signs off an ISTA step, solves the
+    lasso on them exactly through the Gram matrix's inverse, moves the
+    column from the ISTA step to the lowest point on the segment to that
+    solution, and keeps the column's better codes. The rounds stop once no
+    support or sign changes, or after a few rounds. They are skipped when
+    ``dictionary.T @ dictionary`` does not factor or LAPACK's ``dpocon``
+    estimates its reciprocal condition number below ``1e-8`` (overcomplete
+    or dead-atom dictionaries). FISTA (Beck & Teboulle 2009) with
+    per-column adaptive restart (O'Donoghue & Candes 2015) then runs from
+    the kept codes and keeps each column's best codes. Last, plain
+    soft-thresholding (ISTA) steps run from those until one moves them by
+    at most ``cfg.rel_tol`` times their norm. That last step's result is
+    returned, so the codes are certified by ISTA's stopping rule.
+    ``cfg.max_iters`` bounds the iterations of all three phases together, a
+    round counting as one; stopping there before the rule holds issues a
+    ``RuntimeWarning`` (one fixed message, so Python's default filter shows
+    it once per calling line). With the auto-derived step the objective of
+    the kept and returned codes is non-increasing. When ``return_trace`` is
+    true, also returns that objective at the start and after every
+    iteration, so ``len(trace) - 1`` iterations ran; the
     codes are the same either way. Non-finite inputs raise ``ValueError``.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
@@ -522,7 +713,10 @@ def ista_sparse_code(
         gram_codes = gram @ codes
     trace = [float(lasso.objective(codes, gram_codes).sum())] if return_trace else None
     # Leave the last iteration to ISTA, so the returned codes come from its step.
-    codes, iters = _accelerate(lasso, codes, gram_codes, cfg.max_iters - 1, cfg.rel_tol, trace)
+    budget = cfg.max_iters - 1
+    rounds = _active_set(lasso, codes, gram_codes, min(_ACTIVE_SET_ROUNDS, budget), trace)
+    codes, iters = _accelerate(lasso, codes, gram_codes, budget - rounds, cfg.rel_tol, trace)
+    iters += rounds
     gram_codes = gram @ codes
     new, gram_new = np.empty_like(codes), np.empty_like(codes)
     for _ in range(iters, cfg.max_iters):

@@ -238,6 +238,20 @@ def test_experiment_fails_when_every_replicate_fails(tmp_path, dataset, capsys):
     assert "replicates: 2 (2 failed)" in (out / "summary.txt").read_text()
 
 
+def test_ddl_experiment_with_all_zero_sparse_codes_fails(tmp_path, capsys):
+    data = tmp_path / "wide.csv"
+    assert main(["synth", "--classes", "3", "--per-class", "12", "--dim", "64",
+                 "--separation", "6", "--seed", "0", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["experiment", "--data", str(data), "--method", "ddl", "--layer-sizes", "16,8",
+               "--l1-weight", "1e3", "--h", "6", "--replicates", "2", "--knn-max", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: every replicate failed; first replicate error: ValueError: layer 2: every "
+        "sparse code is zero at l1_weight=1000.0, so the refreshed dictionary is zero\n"
+    )
+
+
 def test_experiment_checks_the_neighbor_range_before_training(dataset, capsys, monkeypatch):
     fitted = []
     real = harness.fit_model

@@ -34,7 +34,7 @@ from deepdict.harness import (
     resolved_config_text,
     run_experiment,
 )
-from deepdict.baseline import TrainConfig, train_ddl
+from deepdict.baseline import TrainConfig, train_ddl, train_sparse_layer
 from deepdict.intraclass import DdlicConfig, train_ddlic
 from deepdict.data import LabeledMatrix, SplitSpec, split_per_class
 
@@ -383,6 +383,37 @@ class TestDegenerateFeatures:
         dropped = LabeledMatrix(np.delete(features, 2, axis=0), data.original_labels)
         without = evaluate_experiment(small_config(method=method), dropped)
         assert report.scatter_means[0] == pytest.approx(without.scatter_means[0], rel=1e-12)
+
+
+class TestAllZeroSparseCodes:
+    """``ddl`` on 3 classes x 12 samples, dim 64, layers 16,8: a large L1
+    weight zeroes every final-layer code, and the next refresh says so."""
+
+    DATA = make_synthetic_clusters(3, 12, 64, 6.0, seed=0)
+
+    def config(self, l1_weight):
+        return small_config(method="ddl", layer_sizes=(16, 8), l1_weight=l1_weight,
+                            iters_per_layer=20, train_per_class=6)
+
+    @pytest.mark.parametrize("l1_weight", [1e3, 30.0])
+    def test_replicates_fail_naming_the_layer_and_weight(self, l1_weight):
+        report = evaluate_experiment(self.config(l1_weight), self.DATA)
+        assert report.n_failed == 3
+        assert {r.error for r in report.replicates} == {
+            f"ValueError: layer 2: every sparse code is zero at l1_weight={l1_weight!r}, "
+            "so the refreshed dictionary is zero"
+        }
+
+    def test_sparse_but_nonzero_codes_still_train(self):
+        report = evaluate_experiment(self.config(10.0), self.DATA)
+        assert report.n_failed == 0
+
+    def test_codes_that_reach_zero_in_the_last_iteration_are_returned(self):
+        train = self.DATA.features[:, ::2]
+        dictionary, codes, trace = train_sparse_layer(train, train[:, :8], 1, 1e3)
+        assert not codes.any() and trace.shape == (1,)
+        with pytest.raises(ValueError, match="^layer 1: every sparse code is zero at l1_weight=1000.0"):
+            train_sparse_layer(train, train[:, :8], 2, 1e3)
 
 
 class TestRunExperiment:

@@ -119,3 +119,29 @@ def test_missing_lapack_module_is_named(tmp_path):
     assert raised == (
         "scipy.linalg._flapack cannot find SciPy's LAPACK wrapper module scipy.linalg._flapack\n"
     )
+
+
+def test_active_set_routines_import_no_scipy_linalg_or_sparse():
+    """Solving with the active-set rounds, which use ``dpocon`` and ``dpotri``
+    as well, still loads nothing of SciPy but its LAPACK wrapper module."""
+    loaded = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import deepdict, deepdict.cli\n"
+        "from deepdict import kernels\n"
+        "d = np.random.default_rng(0).normal(size=(12, 4))\n"
+        "print(kernels._gram_inverse(d.T @ d) is not None)\n"
+        "kernels.ista_sparse_code(d, d @ np.ones((4, 3)), 0.1)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+    )
+    assert loaded == "True\n['scipy.linalg._flapack']\n"
+
+
+def test_lapack_routines_are_scipy_lapacks_own_when_it_loaded_first():
+    same = run_fresh(
+        "import scipy.linalg.lapack as lapack\n"
+        "from deepdict import kernels\n"
+        "names = ('potrf', 'potrs', 'pocon', 'potri')\n"
+        "print([getattr(kernels, '_' + n.upper()) is getattr(lapack, 'd' + n) for n in names])\n"
+    )
+    assert same == "[True, True, True, True]\n"

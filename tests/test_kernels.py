@@ -367,13 +367,24 @@ class TestSparseCoding:
             )
         assert len(trace) - 1 < 5000
 
+    @pytest.mark.parametrize("variant", ["drawn", "zero-weight", "zero-optimum", "dead-atom"])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("shape", [(10, 25), (20, 8)], ids=["overcomplete", "undercomplete"])
-    def test_matches_or_beats_plain_ista(self, shape, warm):
+    def test_matches_or_beats_plain_ista(self, shape, warm, variant):
         for seed in range(6):
             d, x, lam, start = lasso_case(seed, shape, warm)
+            if variant == "zero-weight":
+                if shape[1] > shape[0]:
+                    pytest.skip("an overcomplete dictionary fits the inputs exactly at zero "
+                                "weight, so the bounds relative to a zero optimum compare rounding")
+                lam = 0.0
+            elif variant == "zero-optimum":  # above |2 D^T x|_inf every code is zero
+                lam = 1.5 * float(np.abs(2.0 * d.T @ x).max())
+            elif variant == "dead-atom":
+                d[:, seed % shape[1]] = 0.0
             for cfg in (IstaConfig(), IstaConfig(max_iters=4000, rel_tol=1e-9),
-                        IstaConfig(max_iters=6)):
+                        IstaConfig(max_iters=6), IstaConfig(max_iters=1),
+                        IstaConfig(max_iters=2), IstaConfig(max_iters=3)):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     codes, trace = ista_sparse_code(d, x, lam, cfg, start, return_trace=True)
@@ -413,6 +424,24 @@ class TestSparseCoding:
         assert len(trace) - 1 <= oracle_iters / 3
         assert sparse_objective(d, x, codes, 1e-3) <= sparse_objective(d, x, want, 1e-3) * (1 + 1e-10)
         assert kkt_within_stop_rule(d, x, codes, 1e-3, cfg)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_well_conditioned_dense_problem_takes_a_handful_of_iterations(self, warm):
+        """The active-set rounds reach this optimum exactly, where FISTA alone
+        runs dozens of iterations."""
+        rng = RNG(31)
+        d = rng.normal(size=(40, 12))
+        truth = rng.normal(size=(12, 30))
+        x = d @ truth + 0.1 * rng.normal(size=(40, 30))
+        start = truth + 0.3 * rng.normal(size=truth.shape) if warm else None
+        cfg = IstaConfig(max_iters=5000, rel_tol=1e-9)
+        want, oracle_iters, met = oracle_ista(d, x, 0.5, cfg, start)
+        codes, trace = ista_sparse_code(d, x, 0.5, cfg, start, return_trace=True)
+        assert met and oracle_iters > 30
+        assert np.count_nonzero(codes) > 0.9 * codes.size
+        assert len(trace) - 1 <= 6
+        assert sparse_objective(d, x, codes, 0.5) <= sparse_objective(d, x, want, 0.5) * (1 + 1e-12)
+        assert kkt_within_stop_rule(d, x, codes, 0.5, cfg)
 
     @pytest.mark.parametrize("where", ["dictionary", "inputs", "warm_start"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
