@@ -144,7 +144,6 @@ def train_sparse_layer(
     l1_weight: float,
     ista_cfg: IstaConfig = IstaConfig(),
     policy: RidgePolicy = DEFAULT_RIDGE,
-    layer: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Final layer: closed-form dictionary solve alternated with sparse coding.
 
@@ -152,14 +151,13 @@ def train_sparse_layer(
     penalized-objective trace is non-increasing. Returns
     (dictionary, codes, trace). Sparse codes that are all zero refresh to a
     zero dictionary, from which ISTA derives no step size; that refresh
-    raises ``ValueError`` naming ``layer`` (the layer's place in its stack)
-    and ``l1_weight``.
+    raises ``ValueError`` naming ``l1_weight``.
     """
 
     def code_step(dictionary, codes):
         if ista_cfg.step is None and not codes.any():
             raise ValueError(
-                f"layer {layer}: every sparse code is zero at l1_weight={l1_weight!r}, "
+                f"every sparse code is zero at l1_weight={l1_weight!r}, "
                 "so the refreshed dictionary is zero"
             )
         return ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
@@ -197,14 +195,21 @@ def train_stack(features: np.ndarray, cfg, train_one: Callable) -> tuple[list, l
 
 
 def train_ddl(features: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DdlModel:
-    """Train the full stack greedily on a feature matrix (samples as columns)."""
+    """Train the full stack greedily on a feature matrix (samples as columns).
+
+    A ``ValueError`` from the final, sparse layer is re-raised with that
+    layer's number in front of its message.
+    """
 
     def train_one(layer, inputs, init):
         if layer < cfg.depth:
             return train_dense_layer(inputs, init, cfg.iters_per_layer, cfg.ridge)
-        return train_sparse_layer(
-            inputs, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge, layer
-        )
+        try:
+            return train_sparse_layer(
+                inputs, init, cfg.iters_per_layer, cfg.l1_weight, cfg.ista, cfg.ridge
+            )
+        except ValueError as err:
+            raise ValueError(f"layer {layer}: {err}") from err
 
     dictionaries, layer_codes, traces = train_stack(features, cfg, train_one)
     return DdlModel(dictionaries, layer_codes[-1], cfg, traces)

@@ -484,50 +484,37 @@ def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
     return np.triu(inverse) + np.triu(inverse, 1).T
 
 
-def _restricted_solve(lasso: _Lasso, inverse, signs, out) -> None:
+def _restricted_solve(lasso: _Lasso, inverse, signs, out, multipliers) -> None:
     """Each column's lasso optimum for a fixed support and signs, into ``out``.
 
     Column ``j`` solves ``gram[A, A] z_A = corr[A, j] - l1_weight/2 * signs[A, j]``
     on its support ``A`` (the nonzero ``signs``), with zeros elsewhere. All
     columns take one product with ``inverse``. A column's ``m`` excluded atoms
     then get Lagrange multipliers from an ``m × m`` solve on ``inverse``'s
-    Schur complement, which a second product with ``inverse`` applies; when
-    the support is the smaller set, it is solved on directly instead.
-    Columns are grouped by ``m`` and batched at most about ``out.size``
-    matrix entries at a time.
+    Schur complement, into ``multipliers`` (same shape as ``out``), which a
+    second product with ``inverse`` applies. Columns are grouped by ``m``
+    and batched at most about ``out.size`` matrix entries at a time.
     """
-    k, n = out.shape
     rhs = lasso.scratch
     np.multiply(signs, -0.5 * lasso.l1_weight, out=rhs)
     rhs += lasso.corr
     np.matmul(inverse, rhs, out=out)
     excluded = signs == 0
     counts = np.count_nonzero(excluded, axis=0)
-    multipliers, direct = None, []
-    for m in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        schur = m <= k - m
-        size = m if schur else k - m
+    multipliers.fill(0.0)
+    k = out.shape[0]
+    # a column with no support (m = k) is zeroed below whatever its multipliers
+    for m in np.flatnonzero(np.bincount(counts, minlength=k)[1:k]) + 1:
         columns = np.flatnonzero(counts == m)
-        step = max(1, out.size // max(1, size * size))
+        step = max(1, out.size // (m * m))
         for start in range(0, columns.size, step):
             cols = columns[start:start + step]
-            atoms = np.nonzero((excluded if schur else ~excluded)[:, cols].T)[1]
-            atoms = atoms.reshape(cols.size, size)
-            if schur:
-                block = inverse[atoms[:, :, None], atoms[:, None, :]]
-                if multipliers is None:
-                    multipliers = np.zeros_like(out)
-                multipliers[atoms, cols[:, None]] = np.linalg.solve(
-                    block, out[atoms, cols[:, None]][..., None])[..., 0]
-            else:
-                block = lasso.gram[atoms[:, :, None], atoms[:, None, :]]
-                direct.append((atoms, cols, np.linalg.solve(
-                    block, rhs[atoms, cols[:, None]][..., None])[..., 0]))
-    if multipliers is not None:  # the right-hand sides are spent, so their buffer takes the product
-        out -= np.matmul(inverse, multipliers, out=rhs)
+            atoms = np.nonzero(excluded[:, cols].T)[1].reshape(cols.size, m)
+            block = inverse[atoms[:, :, None], atoms[:, None, :]]
+            multipliers[atoms, cols[:, None]] = np.linalg.solve(
+                block, out[atoms, cols[:, None]][..., None])[..., 0]
+    out -= np.matmul(inverse, multipliers, out=rhs)  # the right-hand sides are spent
     out[excluded] = 0.0
-    for atoms, cols, solution in direct:
-        out[atoms, cols[:, None]] = solution
 
 
 def _segment_minimum(lasso: _Lasso, codes, gram_codes, delta, gram_delta) -> np.ndarray:
@@ -586,30 +573,30 @@ def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
     that solution (``_segment_minimum``), and keeps the result when its
     objective is lower, in ``codes`` and ``gram_codes`` in place. Stops
     once no column's support or signs differ, or after ``budget`` rounds.
-    Returns the rounds run, none when ``_gram_inverse`` finds the Gram
-    matrix unfit. ``trace``, if a list, gets the kept codes' objective
-    after every round.
+    Returns the rounds that solved (a last round that finds no change is
+    not one), none when ``_gram_inverse`` finds the Gram matrix unfit.
+    ``trace``, if a list, gets the kept codes' objective after every round.
     """
     inverse = _gram_inverse(lasso.gram) if budget > 0 else None
     if inverse is None:
         return 0
     best = lasso.objective(codes, gram_codes)
-    solved = None
     stepped = np.empty_like(codes)
     pending = np.ones(codes.shape[1], dtype=bool)
     k, n = codes.shape
+    signs, solved = np.empty((2, k, n), dtype=np.int8)
     # A round's arrays are views into these, whatever its width, so that
     # rounds reuse one block of memory instead of fragmenting the heap.
     rows = np.empty((6, k * n))
     for rounds in range(budget):
         lasso.step_into(stepped, codes, gram_codes)
-        signs = np.sign(stepped).astype(np.int8)
-        if solved is not None:
+        np.sign(stepped, out=signs, casting="unsafe")
+        if rounds > 0:
             changed = (signs != solved).any(axis=0)
             if not changed.any():
                 return rounds
             pending |= changed
-        solved = signs
+        signs, solved = solved, signs
         cols = np.flatnonzero(pending)
         start, gram_start, delta, gram_delta, corr, scratch = (
             row[: k * cols.size].reshape(k, cols.size) for row in rows
@@ -617,7 +604,7 @@ def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
         np.take(stepped, cols, axis=1, out=start)
         part = lasso.columns(cols, corr, scratch)
         np.matmul(lasso.gram, start, out=gram_start)
-        _restricted_solve(part, inverse, signs[:, cols], delta)
+        _restricted_solve(part, inverse, solved[:, cols], delta, gram_delta)
         np.matmul(lasso.gram, delta, out=gram_delta)
         delta -= start
         gram_delta -= gram_start
@@ -665,8 +652,11 @@ def ista_sparse_code(
     soft-thresholding (ISTA) steps run from those until one moves them by
     at most ``cfg.rel_tol`` times their norm. That last step's result is
     returned, so the codes are certified by ISTA's stopping rule.
-    ``cfg.max_iters`` bounds the iterations of all three phases together, a
-    round counting as one; stopping there before the rule holds issues a
+    ``cfg.max_iters`` bounds the iterations of all three phases together. A
+    round counts as one, though it costs several FISTA steps, and a last
+    round that finds no support or sign changed is not counted, so counts
+    with and without the rounds compare different units. Stopping at
+    ``cfg.max_iters`` before the rule holds issues a
     ``RuntimeWarning`` (one fixed message, so Python's default filter shows
     it once per calling line). With the auto-derived step the objective of
     the kept and returned codes is non-increasing. When ``return_trace`` is

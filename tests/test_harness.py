@@ -412,7 +412,7 @@ class TestAllZeroSparseCodes:
         train = self.DATA.features[:, ::2]
         dictionary, codes, trace = train_sparse_layer(train, train[:, :8], 1, 1e3)
         assert not codes.any() and trace.shape == (1,)
-        with pytest.raises(ValueError, match="^layer 1: every sparse code is zero at l1_weight=1000.0"):
+        with pytest.raises(ValueError, match="^every sparse code is zero at l1_weight=1000.0"):
             train_sparse_layer(train, train[:, :8], 2, 1e3)
 
 
