@@ -10,7 +10,10 @@ loop (``train_stack``) defined here train the label-aware stack too.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import multiprocessing
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,6 +90,23 @@ class DdlModel:
         return self.config.l1_weight
 
 
+# Below this many multiply-adds in ``dictionary @ codes`` an objective costs
+# less than handing it to a thread and back (0.1-0.7 ms on a 2-core VM).
+_HELPER_MIN_WORK = 1 << 21
+
+
+class _Inline(Executor):
+    """Runs each submitted call at once, on the calling thread."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
 def alternate_layer(
     inputs: np.ndarray,
     init_dict: np.ndarray,
@@ -103,6 +123,18 @@ def alternate_layer(
     ``objective(dictionary, codes)``; when both steps minimize that
     objective, the trace is non-increasing. Returns (dictionary, codes,
     trace), the trace holding one value per iteration.
+
+    Nothing later waits for an objective, so each runs on one helper thread,
+    in the caller's ``contextvars`` context (``np.errstate`` included), while
+    the next iteration trains; at most one runs at a time, so an objective
+    may reuse one scratch buffer. The values are collected in iteration
+    order and are the same as inline calls. The helper lives only inside the
+    call. Each objective runs on the calling thread instead in a child
+    process of ``multiprocessing`` (a pool worker, whose siblings keep the
+    cores busy) and on a layer whose product ``dictionary @ codes`` takes
+    fewer than 2**21 multiply-adds, which costs less than the hand-off. An
+    objective's exception is raised from this call unchanged, and wins over
+    one that a later step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
@@ -111,10 +143,26 @@ def alternate_layer(
     codes = ridge_code(init_dict, inputs, policy)
     dictionary = init_dict
     values: list[float] = []
-    for _ in range(n_iters):
-        dictionary = solve_least_squares_dictionary(inputs, codes, policy)
-        codes = code_step(dictionary, codes)
-        values.append(objective(dictionary, codes))
+    inline = (
+        multiprocessing.parent_process() is not None  # a pool worker: its siblings fill the cores
+        or inputs.size * init_dict.shape[1] < _HELPER_MIN_WORK
+    )
+    with _Inline() if inline else ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None  # the last iteration's objective, not yet collected
+        try:
+            for _ in range(n_iters):
+                dictionary = solve_least_squares_dictionary(inputs, codes, policy)
+                codes = code_step(dictionary, codes)
+                if pending is not None:
+                    values.append(pending.result())
+                pending = helper.submit(
+                    contextvars.copy_context().run, objective, dictionary, codes
+                )
+            values.append(pending.result())
+        except BaseException:
+            if pending is not None:
+                pending.result()  # an earlier objective's failure wins
+            raise
     return dictionary, codes, np.asarray(values)
 
 
@@ -129,10 +177,11 @@ def train_dense_layer(
     The recorded reconstruction-error trace is non-increasing. Returns
     (dictionary, codes, trace).
     """
+    resid = np.empty(inputs.shape)
     return alternate_layer(
         inputs, init_dict, n_iters,
         lambda dictionary, codes: ridge_code(dictionary, inputs, policy),
-        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0),
+        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0, resid),
         policy,
     )
 
@@ -162,9 +211,10 @@ def train_sparse_layer(
             )
         return ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
 
+    resid = np.empty(inputs.shape)
     return alternate_layer(
         inputs, init_dict, n_iters, code_step,
-        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, l1_weight),
+        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, l1_weight, resid),
         policy,
     )
 

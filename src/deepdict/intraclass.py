@@ -124,11 +124,16 @@ def layer_objective(
     codes: np.ndarray,
     alpha: float,
     class_index,
+    out: np.ndarray | None = None,
 ) -> float:
-    """Reconstruction error plus ``alpha`` times the intra-class spread."""
+    """Reconstruction error plus ``alpha`` times the intra-class spread.
+
+    ``out``, a C-contiguous float array of ``inputs``' shape, takes the
+    residual instead of a new array.
+    """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
-    resid = dictionary @ codes
+    resid = np.matmul(dictionary, codes, out=out)
     np.subtract(inputs, resid, out=resid)
     value = float(np.vdot(resid, resid))
     if alpha > 0:
@@ -260,12 +265,15 @@ def train_layer(
         raise ValueError(
             f"init_dict must have shape ({inputs.shape[0]}, {n_atoms}), got {init_dict.shape}"
         )
+    resid = np.empty(inputs.shape)
     return alternate_layer(
         inputs, init_dict, n_iters,
         lambda dictionary, codes: update_representations(
             dictionary, inputs, codes, alpha, class_index, policy
         ),
-        lambda dictionary, codes: layer_objective(inputs, dictionary, codes, alpha, class_index),
+        lambda dictionary, codes: layer_objective(
+            inputs, dictionary, codes, alpha, class_index, resid
+        ),
         policy,
     )
 

@@ -364,10 +364,17 @@ def sparse_objective(
     inputs: np.ndarray,
     codes: np.ndarray,
     l1_weight: float,
+    out: np.ndarray | None = None,
 ) -> float:
-    """Squared reconstruction error plus the weighted L1 norm of the codes."""
-    resid = inputs - dictionary @ codes
-    return float(np.sum(resid * resid) + l1_weight * np.abs(codes).sum())
+    """Squared reconstruction error plus the weighted L1 norm of the codes.
+
+    ``out``, a C-contiguous float array of ``inputs``' shape, takes the
+    residual instead of a new array.
+    """
+    resid = np.matmul(dictionary, codes, out=out)
+    np.subtract(inputs, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    return float(resid.sum() + l1_weight * np.abs(codes).sum())
 
 
 class _Lasso:

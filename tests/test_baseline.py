@@ -1,5 +1,7 @@
 """The plain layer-wise trainer: dense layers, sparse top layer, test coding."""
 
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,14 @@ from deepdict.baseline import (
     train_stack,
 )
 from deepdict.data import LabeledMatrix
-from deepdict.intraclass import DdlicConfig, train_ddlic
+from deepdict import intraclass
+from deepdict.intraclass import (
+    DdlicConfig,
+    layer_objective,
+    train_ddlic,
+    train_layer,
+    update_representations,
+)
 from deepdict.kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
@@ -148,6 +157,139 @@ class TestSharedLoop:
         assert _same(model.dictionaries, dictionaries)
         assert np.array_equal(model.train_repr, codes)
         assert _same(model.traces, traces)
+
+
+class ObjectiveFailed(Exception):
+    pass
+
+
+class CodeStepFailed(Exception):
+    pass
+
+
+def _failing(at: int, error: Exception, step):
+    """A step that calls ``step`` and raises ``error`` from its ``at``-th call on."""
+    calls = []
+
+    def failing(*args):
+        calls.append(len(calls) + 1)
+        if len(calls) >= at:
+            raise error
+        return step(*args)
+
+    return failing
+
+
+def _helper_instance():
+    """A layer just large enough for the helper thread: 128 x 1024 inputs, 16 atoms."""
+    return _instance(5, d=128, k=16, n=1024)
+
+
+def _objectives_on_the_calling_thread(n_iters, instance=_helper_instance):
+    """Whether each objective of a layer ran on the thread that trains it."""
+    inputs, init = instance()
+    caller, seen = threading.get_ident(), []
+
+    def objective(dictionary, codes):
+        seen.append(threading.get_ident() == caller)
+        return 0.0
+
+    alternate_layer(inputs, init, n_iters, lambda d, z: ridge_code(d, inputs), objective)
+    return seen
+
+
+class TestObjectiveHelper:
+    """Each objective runs on a helper thread while the next iteration trains."""
+
+    def _layer(self):
+        inputs, init = _helper_instance()
+        code_step = lambda dictionary, codes: ridge_code(dictionary, inputs)
+        objective = lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0)
+        return inputs, init, code_step, objective
+
+    def test_an_objective_failure_surfaces_unchanged(self):
+        inputs, init, code_step, objective = self._layer()
+        error = ObjectiveFailed("objective failed at iteration 3")
+        with pytest.raises(ObjectiveFailed) as caught:
+            alternate_layer(inputs, init, 6, code_step, _failing(3, error, objective))
+        assert caught.value is error
+        assert str(caught.value) == "objective failed at iteration 3"
+
+    @pytest.mark.parametrize("later", ["code-step", "objective"])
+    def test_the_earlier_failure_wins(self, later):
+        inputs, init, code_step, objective = self._layer()
+        first = ObjectiveFailed("objective failed at iteration 3")
+        if later == "code-step":
+            code_step = _failing(4, CodeStepFailed("code step failed at iteration 4"), code_step)
+            objective = _failing(3, first, objective)
+        else:
+            second = ObjectiveFailed("objective failed at iteration 4")
+            objective = _failing(4, second, _failing(3, first, objective))
+        with pytest.raises(ObjectiveFailed) as caught:
+            alternate_layer(inputs, init, 6, code_step, objective)
+        assert caught.value is first
+
+    def test_no_thread_outlives_training(self, monkeypatch):
+        # the first layer is large enough for the helper thread
+        feats = RNG(21).normal(size=(128, 1024))
+        labeled = LabeledMatrix(feats, np.repeat(np.arange(8), 128))
+        ddlic = DdlicConfig(depth=2, layer_sizes=(16, 8), alphas=(0.1, 0.1), iters_per_layer=4)
+        ddl = TrainConfig(depth=2, layer_sizes=(16, 8), iters_per_layer=4)
+        before = threading.active_count()
+        train_ddlic(labeled, ddlic)
+        train_ddl(feats, ddl)
+        assert threading.active_count() == before
+        # a failure on the main thread while an objective runs: every sparse code is zero
+        with pytest.raises(ValueError, match="every sparse code is zero"):
+            train_ddl(feats, TrainConfig(depth=1, layer_sizes=(16,), l1_weight=1e6))
+        assert threading.active_count() == before
+        # a failure on the helper thread
+        failing = _failing(2, ObjectiveFailed("x"), intraclass.layer_objective)
+        monkeypatch.setattr(intraclass, "layer_objective", failing)
+        with pytest.raises(ObjectiveFailed):
+            train_ddlic(labeled, ddlic)
+        assert threading.active_count() == before
+
+    def test_an_objective_sees_the_callers_errstate(self):
+        inputs, init, code_step, objective = self._layer()
+        seen = []
+
+        def recording(dictionary, codes):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return objective(dictionary, codes)
+
+        with np.errstate(all="raise"):
+            alternate_layer(inputs, init, 3, code_step, recording)
+            want = np.geterr()
+        assert want != np.geterr()
+        assert seen == [(False, want)] * 3
+
+    def test_a_pool_worker_computes_objectives_inline(self):
+        assert _objectives_on_the_calling_thread(3) == [False] * 3
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_objectives_on_the_calling_thread, 3).result() == [True] * 3
+
+    def test_a_small_layer_computes_objectives_inline(self):
+        smaller = lambda: _instance(5, d=128, k=16, n=1023)
+        assert _objectives_on_the_calling_thread(3, smaller) == [True] * 3
+
+    def test_paper_scale_first_layer_matches_inline_loops(self):
+        """784-dim inputs, 500 columns in 10 classes, 400 atoms: both stacks'
+        first layers equal their inline loops."""
+        rng = RNG(22)
+        inputs = rng.normal(size=(784, 500)) + 10.0 * rng.normal(size=(784, 10)).repeat(50, axis=1)
+        init = initial_dictionary(inputs, 400, 1, "qr", 0)
+        assert _same(train_dense_layer(inputs, init, 3), _reference_dense_layer(inputs, init, 3))
+        class_index = [np.arange(c * 50, (c + 1) * 50) for c in range(10)]
+        codes = ridge_code(init, inputs)
+        dictionary = init
+        trace = []
+        for _ in range(3):
+            dictionary = solve_least_squares_dictionary(inputs, codes, DEFAULT_RIDGE)
+            codes = update_representations(dictionary, inputs, codes, 1e-4, class_index)
+            trace.append(layer_objective(inputs, dictionary, codes, 1e-4, class_index))
+        got = train_layer(inputs, 1e-4, 400, 3, class_index, init)
+        assert _same(got, (dictionary, codes, np.asarray(trace)))
 
 
 SMALL = TrainConfig(depth=2, layer_sizes=(3, 2), iters_per_layer=2)
