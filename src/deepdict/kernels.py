@@ -476,6 +476,7 @@ def _accelerate(lasso: _Lasso, codes, gram_codes, budget: int, rel_tol: float, t
 
 _ACTIVE_SET_ROUNDS = 8  # at most this many active-set rounds per call
 _ACTIVE_SET_RCOND = 1e-8  # below this estimate of 1/cond(gram) the rounds are skipped
+_SEGMENT_END = 1e-12  # a segment minimum this close to its end is rounding short of it
 
 
 def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
@@ -577,7 +578,9 @@ def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
     (``_restricted_solve``) in the first round, when they differ from those
     it was last solved for, or when the last round moved it only part of the
     way. It moves from the ISTA step to the lowest point on the segment to
-    that solution (``_segment_minimum``), and keeps the result when its
+    that solution (``_segment_minimum``), a minimum within ``1e-12`` of the
+    segment's end counting as the end, so that rounding does not solve a
+    column again on the same support. It keeps the result when its
     objective is lower, in ``codes`` and ``gram_codes`` in place. Stops
     once no column's support or signs differ, or after ``budget`` rounds.
     Returns the rounds that solved (a last round that finds no change is
@@ -616,6 +619,7 @@ def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
         delta -= start
         gram_delta -= gram_start
         t = _segment_minimum(part, start, gram_start, delta, gram_delta)
+        t[t >= 1.0 - _SEGMENT_END] = 1.0
         delta *= t
         start += delta
         gram_delta *= t

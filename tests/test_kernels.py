@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from deepdict import kernels
 from deepdict.baseline import TrainConfig
 from deepdict.harness import ExperimentConfig
 from deepdict.intraclass import DdlicConfig
@@ -442,6 +443,37 @@ class TestSparseCoding:
         assert len(trace) - 1 <= 6
         assert sparse_objective(d, x, codes, 0.5) <= sparse_objective(d, x, want, 0.5) * (1 + 1e-12)
         assert kkt_within_stop_rule(d, x, codes, 0.5, cfg)
+
+    def test_a_column_that_reaches_its_solution_is_not_solved_again(self, monkeypatch):
+        """Column 0 is sign-consistent: the first ISTA step has the support and
+        signs of its optimum, so the segment to its restricted solution is
+        lowest at the end. The line search lands a rounding error short of
+        it, and the column still leaves the rounds that the other columns go
+        on with."""
+        rng = RNG(1)
+        d = rng.normal(size=(20, 8))
+        x = rng.normal(size=(20, 6))
+        truth = rng.choice([-1, 1], size=8) * rng.uniform(1, 2, size=8)
+        x[:, 0] = d @ truth
+        solved, steps = [], []
+        columns, segment_minimum = kernels._Lasso.columns, kernels._segment_minimum
+
+        def recording_columns(self, cols, *buffers):
+            solved.append(cols.copy())
+            return columns(self, cols, *buffers)
+
+        def recording_segment_minimum(*args):
+            steps.append(segment_minimum(*args))
+            return steps[-1].copy()
+
+        monkeypatch.setattr(kernels._Lasso, "columns", recording_columns)
+        monkeypatch.setattr(kernels, "_segment_minimum", recording_segment_minimum)
+        codes = ista_sparse_code(d, x, 0.5)
+        assert (np.sign(codes[:, 0]) == np.sign(truth)).all()
+        assert list(solved[0]) == list(range(6))
+        assert 1.0 - 1e-12 <= steps[0][0] < 1.0
+        assert len(solved) > 1
+        assert not any(0 in cols for cols in solved[1:])
 
     @pytest.mark.parametrize("where", ["dictionary", "inputs", "warm_start"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
