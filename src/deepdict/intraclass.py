@@ -11,6 +11,7 @@ non-increasing. Layers are trained greedily and never revisited.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,7 +280,17 @@ def train_layer(
 
 
 def train_ddlic(train: LabeledMatrix, cfg: DdlicConfig = DdlicConfig()) -> DdlicModel:
-    """Train the full intra-class-constrained stack greedily."""
+    """Train the full intra-class-constrained stack greedily.
+
+    When every class has one training column, no pair of columns shares a
+    class, so the compactness weights have no effect; a positive one then
+    issues a ``RuntimeWarning`` (one fixed message).
+    """
+    if any(a > 0 for a in cfg.alphas) and all(len(ix) == 1 for ix in train.class_index):
+        warnings.warn(
+            "every class has one training column, so the compactness weights have no effect",
+            RuntimeWarning, stacklevel=2,
+        )
 
     def train_one(layer, inputs, init):
         return train_layer(

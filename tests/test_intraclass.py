@@ -1,5 +1,8 @@
 """Label-aware trainer: penalty, gradients, closed-form updates, full stack."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -537,6 +540,22 @@ class TestFullStack:
         z_loose = train_ddlic(data, loose).train_repr
         z_tight = train_ddlic(data, tight).train_repr
         assert within_over_total(z_tight) < within_over_total(z_loose)
+
+    def test_single_sample_classes_warn_that_the_weights_have_no_effect(self):
+        data = make_synthetic_clusters(6, 1, 10, 4.0, seed=3)
+        cfg = DdlicConfig(depth=2, layer_sizes=(4, 3), alphas=(0.0, 0.5), iters_per_layer=3)
+        with pytest.warns(RuntimeWarning) as caught:
+            model = train_ddlic(data, cfg)
+        assert [str(w.message) for w in caught] == [
+            "every class has one training column, so the compactness weights have no effect"
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unweighted = train_ddlic(data, replace(cfg, alphas=(0.0, 0.0)))
+            train_ddlic(make_synthetic_clusters(3, 2, 10, 4.0, seed=3), cfg)
+        for got, want in zip(model.layer_reprs + model.traces,
+                             unweighted.layer_reprs + unweighted.traces):
+            assert np.array_equal(got, want)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
