@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextvars
 import math
 import multiprocessing
+import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +24,7 @@ from .kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
     RidgePolicy,
+    _SOLVE_HELPER,
     _check_stack_settings,
     _check_trained_stack,
     initial_dictionary,
@@ -128,28 +130,33 @@ def alternate_layer(
     in the caller's ``contextvars`` context (``np.errstate`` included), while
     the next iteration trains; at most one runs at a time, so an objective
     may reuse one scratch buffer. The values are collected in iteration
-    order and are the same as inline calls. The helper lives only inside the
-    call. Each objective runs on the calling thread instead in a child
-    process of ``multiprocessing`` (a pool worker, whose siblings keep the
-    cores busy) and on a layer whose product ``dictionary @ codes`` takes
-    fewer than 2**21 multiply-adds, which costs less than the hand-off. An
-    objective's exception is raised from this call unchanged, and wins over
-    one that a later step raised.
+    order and are the same as inline calls. While the helper lives, large
+    factored solves on this thread (the starting codes, the refresh and any
+    in ``code_step``) hand half their columns to it
+    (``kernels._solve_factored``), with bit-identical results. The helper
+    lives only inside the call. Each objective runs on the calling thread
+    instead, and no solve is split, in a child process of
+    ``multiprocessing`` (a pool worker, whose siblings keep the cores busy)
+    and on a layer whose product ``dictionary @ codes`` takes fewer than
+    2**21 multiply-adds, which costs less than the hand-off. An objective's
+    exception is raised from this call unchanged, and wins over one that a
+    later step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    codes = ridge_code(init_dict, inputs, policy)
-    dictionary = init_dict
     values: list[float] = []
     inline = (
         multiprocessing.parent_process() is not None  # a pool worker: its siblings fill the cores
         or inputs.size * init_dict.shape[1] < _HELPER_MIN_WORK
     )
     with _Inline() if inline else ThreadPoolExecutor(max_workers=1) as helper:
+        token = _SOLVE_HELPER.set(None if inline else (helper, threading.get_ident()))
         pending = None  # the last iteration's objective, not yet collected
         try:
+            codes = ridge_code(init_dict, inputs, policy)
+            dictionary = init_dict
             for _ in range(n_iters):
                 dictionary = solve_least_squares_dictionary(inputs, codes, policy)
                 codes = code_step(dictionary, codes)
@@ -163,6 +170,8 @@ def alternate_layer(
             if pending is not None:
                 pending.result()  # an earlier objective's failure wins
             raise
+        finally:
+            _SOLVE_HELPER.reset(token)
     return dictionary, codes, np.asarray(values)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import glob
 import itertools
 import math
 import os
@@ -37,6 +36,7 @@ from .data import (
     split_per_class,
 )
 from .intraclass import DdlicConfig, DdlicModel, train_ddlic
+from .kernels import _openblas_libraries
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -298,9 +298,7 @@ def _one_blas_thread() -> Callable[[], None]:
     """
     saved = []  # (setter, thread count before)
     for package, symbol in _OPENBLAS_THREAD_SETTERS:
-        libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
-        for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-            lib = ctypes.CDLL(path)
+        for lib in _openblas_libraries(package):
             get, set_threads = (getattr(lib, symbol.format(verb), None) for verb in ("get", "set"))
             if get is not None and set_threads is not None:
                 get.argtypes, get.restype = [], ctypes.c_int

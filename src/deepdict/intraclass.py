@@ -284,11 +284,20 @@ def train_ddlic(train: LabeledMatrix, cfg: DdlicConfig = DdlicConfig()) -> Ddlic
 
     When every class has one training column, no pair of columns shares a
     class, so the compactness weights have no effect; a positive one then
-    issues a ``RuntimeWarning`` (one fixed message).
+    issues a ``RuntimeWarning`` (one fixed message). So does a layer with
+    more atoms than its input has rows: its Gram matrices are singular, and
+    the ridge, not the data, then fixes the codes that test samples get.
     """
     if any(a > 0 for a in cfg.alphas) and all(len(ix) == 1 for ix in train.class_index):
         warnings.warn(
             "every class has one training column, so the compactness weights have no effect",
+            RuntimeWarning, stacklevel=2,
+        )
+    widths = (train.features.shape[0], *cfg.layer_sizes[:-1])
+    if any(n_atoms > width for n_atoms, width in zip(cfg.layer_sizes, widths)):
+        warnings.warn(
+            "a layer is wider than its input, so epsilon_scale, not the data, "
+            "sets its ridge test codes",
             RuntimeWarning, stacklevel=2,
         )
 

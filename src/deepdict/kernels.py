@@ -7,12 +7,16 @@ read-only matrices. Samples are columns throughout.
 
 from __future__ import annotations
 
+import contextvars
 import copy
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -85,6 +89,59 @@ def _lapack_cholesky():
 _POTRF, _POTRS, _POCON, _POTRI = _lapack_cholesky()
 
 
+def _openblas_libraries(package) -> list[ctypes.CDLL]:
+    """The OpenBLAS copies that ``package``'s wheel bundles in ``<package>.libs``.
+
+    NumPy's and SciPy's wheels each ship their own ``libscipy_openblas*.so``;
+    SciPy's is the one its LAPACK wrapper module links. Another install may
+    ship none, and then the list is empty.
+    """
+    libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
+    return [ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))]
+
+
+def _released_potrs():
+    """``dpotrs`` of SciPy's OpenBLAS called through ``ctypes``, or ``None``.
+
+    It is the routine ``_POTRS`` wraps, but the call releases the interpreter
+    lock, which the f2py wrapper holds, so two threads can solve at once.
+    """
+    for lib in _openblas_libraries(scipy):
+        potrs = getattr(lib, "scipy_dpotrs_", None)
+        if potrs is not None:
+            c_int = ctypes.POINTER(ctypes.c_int)
+            potrs.restype = None  # uplo, n, nrhs, a, lda, b, ldb, info, len(uplo)
+            potrs.argtypes = [ctypes.c_char_p, c_int, c_int, ctypes.c_void_p, c_int,
+                              ctypes.c_void_p, c_int, c_int, ctypes.c_size_t]
+            return potrs
+    return None
+
+
+_RELEASED_POTRS = _released_potrs()
+
+# While ``baseline.alternate_layer`` runs with a helper thread: (that helper's
+# executor, the thread that owns it). Only the owner hands work to the helper;
+# code running on the helper sees the same value and solves alone.
+_SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", default=None)
+
+# Below this many multiply-adds (k**2 per right-hand side) a factored solve
+# costs less than handing half of it to the helper and back. On a 2-core x86-64
+# VM with one BLAS thread, a 200 x 10 solve took 63 us whole and 85 us split;
+# 400 x 10 took 221 and 201 us, and 400 x 784 15.6 and 6.7 ms.
+_SPLIT_MIN_WORK = 1 << 20
+
+
+def _solve_columns(factor: np.ndarray, rhs: np.ndarray, start: int, stop: int) -> int:
+    """Solve columns ``start:stop`` of F-contiguous ``rhs`` in place; return LAPACK's info."""
+    k = factor.shape[0]
+    n, nrhs, info = ctypes.c_int(k), ctypes.c_int(stop - start), ctypes.c_int(0)
+    _RELEASED_POTRS(
+        b"U", n, nrhs, factor.ctypes.data, n,
+        rhs.ctypes.data + start * k * rhs.itemsize, n, info, 1,
+    )
+    return info.value
+
+
 def _require_finite(array: np.ndarray, name: str) -> None:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must not contain infs or NaNs")
@@ -126,10 +183,39 @@ def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
 
     A factored solve overwrites an F-contiguous float ``rhs`` and returns
     it; the pseudo-inverse path returns a new array.
+
+    On the thread that owns ``alternate_layer``'s helper, a factored solve of
+    at least ``_SPLIT_MIN_WORK`` multiply-adds into an F-contiguous float
+    matrix is split by columns: the helper solves the second half while this
+    thread solves the first, both in place through ``_RELEASED_POTRS``. Each
+    column is solved by the same LAPACK call either way, so the result is
+    bit-identical to a whole solve. The helper's half is joined before this
+    returns or raises, and a nonzero status from either half raises.
     """
     if factor is None:
         return pseudo @ rhs
-    solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
+    shared = _SOLVE_HELPER.get()
+    if (
+        shared is not None
+        and shared[1] == threading.get_ident()
+        and _RELEASED_POTRS is not None
+        and rhs.ndim == 2
+        and rhs.shape[1] > 1
+        and rhs.dtype == np.float64
+        and rhs.flags.f_contiguous
+        and factor.flags.f_contiguous
+        and factor.shape[0] ** 2 * rhs.shape[1] >= _SPLIT_MIN_WORK
+    ):
+        columns = rhs.shape[1]
+        half = columns // 2
+        second = shared[0].submit(_solve_columns, factor, rhs, half, columns)
+        try:
+            status = _solve_columns(factor, rhs, 0, half)
+        finally:
+            status_second = second.result()
+        solution, status = rhs, status or status_second
+    else:
+        solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
     if status != 0:
         raise ValueError(f"illegal value in argument {-status} of potrs")
     return solution

@@ -1,6 +1,9 @@
 """The plain layer-wise trainer: dense layers, sparse top layer, test coding."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -20,7 +23,7 @@ from deepdict.baseline import (
     train_stack,
 )
 from deepdict.data import LabeledMatrix
-from deepdict import intraclass
+from deepdict import baseline, intraclass, kernels
 from deepdict.intraclass import (
     DdlicConfig,
     layer_objective,
@@ -287,6 +290,81 @@ class TestObjectiveHelper:
             trace.append(layer_objective(inputs, dictionary, codes, 1e-4, class_index))
         got = train_layer(inputs, 1e-4, 400, 3, class_index, init)
         assert _same(got, (dictionary, codes, np.asarray(trace)))
+
+
+# Trains both stacks on a paper-scale-shaped first layer (784-dim inputs, 500
+# columns in 10 classes, 400 atoms), with the helper and then with every layer
+# forced inline. Prints the array count, whether any solve was split, and
+# whether every dictionary, code matrix and trace match.
+_SPLIT_MATCHES_INLINE = """
+import numpy as np
+from deepdict import baseline, kernels
+halves, solve = [], kernels._solve_columns
+kernels._solve_columns = lambda *args: halves.append(args[2]) or solve(*args)
+from deepdict.baseline import TrainConfig, train_ddl
+from deepdict.data import LabeledMatrix
+from deepdict.intraclass import DdlicConfig, train_ddlic
+rng = np.random.default_rng(23)
+feats = rng.normal(size=(784, 500)) + 10.0 * rng.normal(size=(784, 10)).repeat(50, axis=1)
+train = LabeledMatrix(feats, np.repeat(np.arange(10), 50))
+def arrays():
+    ic = train_ddlic(train, DdlicConfig(depth=2, layer_sizes=(400, 20), alphas=(1e-4, 1e-4),
+                                        iters_per_layer=2))
+    ddl = train_ddl(feats, TrainConfig(depth=2, layer_sizes=(400, 20), iters_per_layer=2))
+    return [*ic.dictionaries, *ic.layer_reprs, *ic.traces,
+            *ddl.dictionaries, ddl.train_repr, *ddl.traces]
+helper = arrays()
+baseline._HELPER_MIN_WORK = float("inf")
+split = bool(halves)
+halves.clear()
+inline = arrays()
+print(len(helper), split and not halves, all(np.array_equal(a, b) for a, b in zip(helper, inline)))
+"""
+
+
+class TestSplitSolves:
+    """Large factored solves in the layer loop hand half their columns to the helper."""
+
+    def test_both_stacks_match_inline_loops_with_blas_threads_unset(self):
+        if kernels._RELEASED_POTRS is None:
+            pytest.skip("SciPy does not ship its own OpenBLAS")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baseline.__file__))
+        done = subprocess.run([sys.executable, "-c", _SPLIT_MATCHES_INLINE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "11 True True\n"
+
+    def test_the_layer_loop_splits_its_large_solves(self, monkeypatch):
+        shapes, solve = [], kernels._solve_columns
+
+        def recording(factor, rhs, start, stop):
+            shapes.append((factor.shape[0], rhs.shape[1], start, stop))
+            return solve(factor, rhs, start, stop)
+
+        monkeypatch.setattr(kernels, "_solve_columns", recording)
+        inputs, init = _instance(24, d=300, k=120, n=100)
+        assert _same(train_dense_layer(inputs, init, 2), _reference_dense_layer(inputs, init, 2))
+        # starting codes, then per iteration the refresh and the codes, each in two halves
+        assert sorted(set(shapes)) == [(120, 100, 0, 50), (120, 100, 50, 100),
+                                       (120, 300, 0, 150), (120, 300, 150, 300)]
+        assert len(shapes) == 2 * (1 + 2 * 2)
+
+    def test_no_thread_outlives_a_split_solve(self, monkeypatch):
+        inputs, init = _instance(25, d=300, k=120, n=100)
+        code_step = lambda dictionary, codes: ridge_code(dictionary, inputs)
+        objective = lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0)
+        before = threading.active_count()
+        alternate_layer(inputs, init, 2, code_step, objective)
+        assert threading.active_count() == before
+        solve = kernels._solve_columns
+        monkeypatch.setattr(
+            kernels, "_solve_columns",
+            lambda factor, rhs, start, stop: -6 if start else solve(factor, rhs, start, stop),
+        )
+        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
+            alternate_layer(inputs, init, 2, code_step, objective)
+        assert threading.active_count() == before
 
 
 SMALL = TrainConfig(depth=2, layer_sizes=(3, 2), iters_per_layer=2)

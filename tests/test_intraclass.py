@@ -557,6 +557,27 @@ class TestFullStack:
                              unweighted.layer_reprs + unweighted.traces):
             assert np.array_equal(got, want)
 
+    def test_a_layer_wider_than_its_input_warns_once_before_training(self):
+        """Layers 16,40 on 3 classes x 12 samples, dim 64: the 40-atom layer
+        codes a 16-dim input, and the ridge, not the data, sets its test codes."""
+        data = make_synthetic_clusters(3, 12, 64, 6.0, seed=0)
+        message = ("a layer is wider than its input, so epsilon_scale, not the data, "
+                   "sets its ridge test codes")
+        for sizes, init in [((16, 40), "qr"), ((16, 40, 8), "qr"), ((80, 8), "random")]:
+            cfg = DdlicConfig(depth=len(sizes), layer_sizes=sizes, alphas=(1e-3,) * len(sizes),
+                              iters_per_layer=2, init=init)
+            with pytest.warns(RuntimeWarning) as caught:
+                train_ddlic(data, cfg)
+            assert [str(w.message) for w in caught] == [message]
+        # the warning comes before any layer trains, so a layer that cannot train still warns
+        with pytest.warns(RuntimeWarning, match="wider than its input"):
+            with pytest.raises(ValueError, match="cannot build 80 orthonormal columns"):
+                train_ddlic(data, DdlicConfig(depth=1, layer_sizes=(80,), alphas=(1e-3,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_ddlic(data, DdlicConfig(depth=3, layer_sizes=(64, 40, 40), alphas=(1e-3,) * 3,
+                                          iters_per_layer=2))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DdlicConfig(depth=2, layer_sizes=(4, 3), alphas=(0.1,))

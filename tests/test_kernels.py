@@ -1,8 +1,11 @@
 """Gram solves, dictionary initialization, and the sparse coding loop."""
 
+import contextvars
 import math
 import re
+import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -164,6 +167,133 @@ class TestGramSolver:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve(rhs)
         assert np.array_equal(gram_solver(np.zeros((3, 3)))(np.ones(3)), np.zeros(3))
+
+
+def _factored_case(seed, k, columns):
+    """A ridged Cholesky factor of a k x k Gram matrix and an F-contiguous right-hand side."""
+    rng = RNG(seed)
+    a = rng.normal(size=(k, 3 * k))
+    factor, pseudo = kernels._ridged_factor(a @ a.T, DEFAULT_RIDGE)
+    assert pseudo is None
+    return factor, np.asfortranarray(rng.normal(size=(k, columns)))
+
+
+def _recording_halves(monkeypatch):
+    """Record each ``_solve_columns`` call as (start, stop, on the calling thread)."""
+    calls, solve, caller = [], kernels._solve_columns, threading.get_ident()
+
+    def recording(factor, rhs, start, stop):
+        calls.append((start, stop, threading.get_ident() == caller))
+        return solve(factor, rhs, start, stop)
+
+    monkeypatch.setattr(kernels, "_solve_columns", recording)
+    return calls
+
+
+def _solved_with_helper(factor, rhs):
+    """``_solve_factored`` on a copy of ``rhs``, as the owner of a helper thread."""
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        token = kernels._SOLVE_HELPER.set((helper, threading.get_ident()))
+        try:
+            return kernels._solve_factored(factor, None, rhs.copy(order="F"))
+        finally:
+            kernels._SOLVE_HELPER.reset(token)
+
+
+class TestSplitSolve:
+    """A large factored solve hands half its columns to the layer loop's helper."""
+
+    @pytest.mark.parametrize(
+        "k, columns",
+        [(400, 784), (400, 500), (400, 10), (100, 200), (48, 1200),
+         (400, 7), (100, 201), (48, 1199), (7, 13), (5, 2)],
+    )
+    def test_split_is_bit_identical_to_a_whole_solve(self, monkeypatch, k, columns):
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
+        factor, rhs = _factored_case(k + columns, k, columns)
+        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
+        calls = _recording_halves(monkeypatch)
+        split = _solved_with_helper(factor, rhs)
+        assert np.array_equal(split, whole)
+        half = columns // 2
+        assert sorted(calls) == [(0, half, True), (half, columns, False)]
+
+    def test_split_only_from_the_size_threshold(self, monkeypatch):
+        calls = _recording_halves(monkeypatch)
+        for k, columns in [(200, 10), (128, 10), (400, 1)]:
+            assert k * k * columns < kernels._SPLIT_MIN_WORK
+            _solved_with_helper(*_factored_case(k, k, columns))
+        assert calls == []
+        _solved_with_helper(*_factored_case(4, 400, 7))
+        assert len(calls) == 2
+
+    def test_no_split_without_a_helper_or_off_the_owning_thread(self, monkeypatch):
+        factor, rhs = _factored_case(3, 400, 10)
+        calls = _recording_halves(monkeypatch)
+        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
+        assert calls == []
+        handed = []
+
+        class Recording:
+            """Stands in for the helper: records each hand-off and runs it at once."""
+
+            def submit(self, fn, *args):
+                handed.append(threading.get_ident())
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        token = kernels._SOLVE_HELPER.set((Recording(), threading.get_ident()))
+        try:
+            # code on the helper sees the owner's value, and a one-thread helper
+            # that waited on itself would never finish
+            results = []
+            other = threading.Thread(target=contextvars.copy_context().run, args=(
+                lambda: results.append(kernels._solve_factored(factor, None, rhs.copy(order="F"))),
+            ))
+            other.start()
+            other.join(timeout=60)
+            assert not other.is_alive()
+            assert handed == [] and calls == []
+            assert np.array_equal(results[0], whole)
+            owner = kernels._solve_factored(factor, None, rhs.copy(order="F"))
+            assert handed == [threading.get_ident()] and len(calls) == 2
+            assert np.array_equal(owner, whole)
+        finally:
+            kernels._SOLVE_HELPER.reset(token)
+
+    def test_a_missing_symbol_solves_whole(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_openblas_libraries", lambda package: [])
+        assert kernels._released_potrs() is None
+        factor, rhs = _factored_case(5, 400, 784)
+        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
+        calls = _recording_halves(monkeypatch)
+        monkeypatch.setattr(kernels, "_RELEASED_POTRS", None)
+        assert np.array_equal(_solved_with_helper(factor, rhs), whole)
+        assert calls == []
+
+    def test_released_potrs_is_scipys_dpotrs(self):
+        if kernels._RELEASED_POTRS is None:
+            pytest.skip("SciPy does not ship its own OpenBLAS")
+        factor, rhs = _factored_case(6, 12, 5)
+        want, info = kernels._POTRS(factor, rhs)
+        got = rhs.copy(order="F")
+        assert info == 0 and kernels._solve_columns(factor, got, 0, 5) == 0
+        assert np.array_equal(got, want)
+
+    def test_a_failed_half_raises_after_both_halves_finish(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
+        factor, rhs = _factored_case(7, 40, 9)
+        finished = []
+
+        def helper_half_fails(factor, rhs, start, stop):
+            finished.append(start)
+            return -6 if start else 0
+
+        monkeypatch.setattr(kernels, "_solve_columns", helper_half_fails)
+        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
+            _solved_with_helper(factor, rhs)
+        assert sorted(finished) == [0, 4]
 
 
 class TestClosedFormSolvers:
