@@ -14,6 +14,7 @@ import contextvars
 import math
 import multiprocessing
 import threading
+import warnings
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -130,17 +131,20 @@ def alternate_layer(
     in the caller's ``contextvars`` context (``np.errstate`` included), while
     the next iteration trains; at most one runs at a time, so an objective
     may reuse one scratch buffer. The values are collected in iteration
-    order and are the same as inline calls. While the helper lives, large
-    factored solves on this thread (the starting codes, the refresh and any
-    in ``code_step``) hand half their columns to it
-    (``kernels._solve_factored``), with bit-identical results. The helper
-    lives only inside the call. Each objective runs on the calling thread
-    instead, and no solve is split, in a child process of
-    ``multiprocessing`` (a pool worker, whose siblings keep the cores busy)
-    and on a layer whose product ``dictionary @ codes`` takes fewer than
-    2**21 multiply-adds, which costs less than the hand-off. An objective's
-    exception is raised from this call unchanged, and wins over one that a
-    later step raised.
+    order and are the same as inline calls. While the helper lives, this
+    thread also hands it work from the starting codes, the refresh and
+    ``code_step``, with bit-identical results: half the columns of each
+    large factored solve (``kernels._solve_factored``), the first of two
+    independent products (``kernels._paired``: a Gram matrix and its
+    factor, taken back when the helper has not started it by the time the
+    other product is done), and half the classes of a large ``ddlic`` sweep
+    group (``intraclass.update_representations``). The helper lives only
+    inside the call. Each objective runs on the calling thread instead, and
+    no work is handed over, in a child process of ``multiprocessing`` (a
+    pool worker, whose siblings keep the cores busy) and on a layer whose
+    product ``dictionary @ codes`` takes fewer than 2**21 multiply-adds,
+    which costs less than the hand-off. An objective's exception is raised
+    from this call unchanged, and wins over one that a later step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
@@ -209,15 +213,27 @@ def train_sparse_layer(
     penalized-objective trace is non-increasing. Returns
     (dictionary, codes, trace). Sparse codes that are all zero refresh to a
     zero dictionary, from which ISTA derives no step size; that refresh
-    raises ``ValueError`` naming ``l1_weight``.
+    raises ``ValueError`` naming ``l1_weight``. With a fixed
+    ``ista_cfg.step`` the layer trains on to zero codes and issues one
+    ``RuntimeWarning`` (one fixed message) instead.
     """
+    warned = False
 
     def code_step(dictionary, codes):
-        if ista_cfg.step is None and not codes.any():
-            raise ValueError(
-                f"every sparse code is zero at l1_weight={l1_weight!r}, "
-                "so the refreshed dictionary is zero"
-            )
+        nonlocal warned
+        if not codes.any():
+            if ista_cfg.step is None:
+                raise ValueError(
+                    f"every sparse code is zero at l1_weight={l1_weight!r}, "
+                    "so the refreshed dictionary is zero"
+                )
+            if not warned:
+                warned = True
+                warnings.warn(
+                    "every sparse code is zero, so the refreshed dictionary is zero "
+                    "and the layer trains to zero codes",
+                    RuntimeWarning,
+                )
         return ista_sparse_code(dictionary, inputs, l1_weight, ista_cfg, warm_start=codes)
 
     resid = np.empty(inputs.shape)

@@ -22,10 +22,15 @@ from .kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
     _check_stack_settings,
+    _check_potrs,
     _check_trained_stack,
+    _in_halves,
+    _paired,
     _require_finite,
     _ridged_factor,
+    _solve_columns,
     _solve_factored,
+    _split_helper,
     solve_least_squares_dictionary,
 )
 # Not called here: bench/bench_trace.py wraps ridge_code in every module
@@ -204,6 +209,14 @@ def update_representations(
     an overflow raises ``ValueError``.
     Without coupling (``alpha == 0``, or singleton classes) there is one
     position, so a group's columns take one solve together.
+
+    Inside ``baseline.alternate_layer``, the helper forms ``D^T D`` while
+    this thread forms ``X^T D`` (``kernels._paired``). A group whose
+    position solves ``kernels._split_helper`` would split sweeps by class
+    instead: the helper sweeps every position of the second half of the
+    group's classes while this thread sweeps the first half, joined before
+    this returns or raises (this thread's error first). A pseudo-inverse
+    group sweeps whole. The result is bit-identical either way.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -216,8 +229,11 @@ def update_representations(
         _require_finite(array, name)
 
     # Sample-row layout: row i of corr, old and out belongs to column i.
-    gram = dictionary.T @ dictionary
-    corr = inputs.T @ dictionary
+    gram, corr = _paired(
+        lambda: dictionary.T @ dictionary,
+        lambda: inputs.T @ dictionary,
+        dictionary.shape[1] ** 2 * dictionary.shape[0],
+    )
     old = codes.T
     out = np.empty_like(corr)
     if alpha == 0 and groups:
@@ -233,18 +249,45 @@ def update_representations(
             after[i] += after[i - 1]
         after *= 2.0 * alpha
         rhs[:-1] += after[::-1]
-        before = np.zeros_like(rhs[0])  # S_j
-        scaled = np.empty_like(before)
-        for j in range(n_c):
-            rhs[j] += np.multiply(before, 2.0 * alpha, out=scaled)
-            column_major = rhs[j].T  # F-contiguous: a factored solve overwrites it
-            solved = _solve_factored(factor, pseudo, column_major)
-            if solved is not column_major:
-                rhs[j] = solved.T
-            before += rhs[j]
+        helper = None if factor is None else _split_helper(factor, rhs[0].T)
+        if helper is None:
+            _sweep_classes(rhs, alpha, 0, len(cols), factor, pseudo)
+        else:
+            _in_halves(
+                helper,
+                lambda start, stop: _sweep_classes(rhs, alpha, start, stop, factor, None),
+                len(cols),
+            )
         out[by_position] = rhs
     _require_finite(out, "updated codes")
     return np.ascontiguousarray(out.T)
+
+
+def _sweep_classes(rhs: np.ndarray, alpha: float, start: int, stop: int, factor, pseudo) -> None:
+    """Sweep positions ``0..n_c-1`` of classes ``start:stop`` of one size group, in place.
+
+    ``rhs`` (positions, classes, atoms) holds each column's right-hand side
+    without ``S_j``; on return it holds the updated columns. Classes do not
+    interact, so a range of classes sweeps alone. A whole group
+    (``start:stop`` covering every class) solves each position with
+    ``_solve_factored``; a part solves its columns in place through
+    ``kernels._solve_columns`` (``pseudo`` is then None), so two parts may
+    run at once on two threads with the same result as the whole.
+    """
+    whole = stop - start == rhs.shape[1]
+    before = np.zeros_like(rhs[0, start:stop])  # S_j
+    scaled = np.empty_like(before)
+    for j in range(rhs.shape[0]):
+        part = rhs[j, start:stop]
+        part += np.multiply(before, 2.0 * alpha, out=scaled)
+        column_major = rhs[j].T  # F-contiguous: a factored solve overwrites it
+        if whole:
+            solved = _solve_factored(factor, pseudo, column_major)
+            if solved is not column_major:
+                part[...] = solved.T
+        else:
+            _check_potrs(_solve_columns(factor, column_major, start, stop))
+        before += part
 
 
 def train_layer(

@@ -130,6 +130,46 @@ _SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", 
 # 400 x 10 took 221 and 201 us, and 400 x 784 15.6 and 6.7 ms.
 _SPLIT_MIN_WORK = 1 << 20
 
+# Below this many multiply-adds in the helper's call, a ``_paired`` call runs
+# its two calls in sequence. On a 2-core x86-64 VM with one BLAS thread,
+# pairing the 2.0 M and 2.8 M products of the `paper-scale` layer-3 sweep and
+# the `many-class` layer-1 refresh gained nothing (within 1-7 % either way,
+# interleaved medians of 30-80 layers); a prototype without a gate made
+# `many-class` `ddlic` about 3 % slower end to end.
+_PAIR_MIN_WORK = 1 << 22
+
+
+def _owned_helper():
+    """``alternate_layer``'s helper executor when this thread owns it, else None."""
+    shared = _SOLVE_HELPER.get()
+    return shared[0] if shared is not None and shared[1] == threading.get_ident() else None
+
+
+def _paired(first: Callable, second: Callable, work: int) -> tuple:
+    """``(first(), second())`` for two independent calls, overlapped when it pays.
+
+    On the thread that owns ``alternate_layer``'s helper, when ``first`` costs
+    at least ``_PAIR_MIN_WORK`` multiply-adds (``work``), the helper runs
+    ``first`` (in this thread's ``contextvars`` context) while this thread
+    runs ``second``. If the helper has not started ``first`` by the time
+    ``second`` returns (it may still be computing the last objective), this
+    thread takes it back and runs it itself. Each call runs whole and once,
+    so the results are bit-identical to calls in sequence, and so is the
+    error: ``first``'s if it raises, else ``second``'s. ``first`` is joined
+    before this returns or raises. Everywhere else, the two calls run in
+    sequence on this thread.
+    """
+    helper = _owned_helper() if work >= _PAIR_MIN_WORK else None
+    if helper is None:
+        return first(), second()
+    future = helper.submit(contextvars.copy_context().run, first)
+    try:
+        result = second()
+    finally:
+        # taken back when not yet started; a raise here wins, as in sequence
+        head = first() if future.cancel() else future.result()
+    return head, result
+
 
 def _solve_columns(factor: np.ndarray, rhs: np.ndarray, start: int, stop: int) -> int:
     """Solve columns ``start:stop`` of F-contiguous ``rhs`` in place; return LAPACK's info."""
@@ -178,47 +218,69 @@ def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
         ) from exc
 
 
+def _split_helper(factor: np.ndarray, rhs: np.ndarray):
+    """The helper that may solve half of ``rhs``'s columns against ``factor``, or None.
+
+    That is ``alternate_layer``'s helper when this thread owns it,
+    ``_RELEASED_POTRS`` exists, ``factor`` and ``rhs`` are F-contiguous float
+    matrices, ``rhs`` has two columns or more and the solve costs at least
+    ``_SPLIT_MIN_WORK`` multiply-adds.
+    """
+    if (
+        _RELEASED_POTRS is None
+        or rhs.ndim != 2
+        or rhs.shape[1] < 2
+        or rhs.dtype != np.float64
+        or not (rhs.flags.f_contiguous and factor.flags.f_contiguous)
+        or factor.shape[0] ** 2 * rhs.shape[1] < _SPLIT_MIN_WORK
+    ):
+        return None
+    return _owned_helper()
+
+
 def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
     """Solve with a ``_ridged_factor`` result, unchecked.
 
     A factored solve overwrites an F-contiguous float ``rhs`` and returns
     it; the pseudo-inverse path returns a new array.
 
-    On the thread that owns ``alternate_layer``'s helper, a factored solve of
-    at least ``_SPLIT_MIN_WORK`` multiply-adds into an F-contiguous float
-    matrix is split by columns: the helper solves the second half while this
-    thread solves the first, both in place through ``_RELEASED_POTRS``. Each
-    column is solved by the same LAPACK call either way, so the result is
-    bit-identical to a whole solve. The helper's half is joined before this
-    returns or raises, and a nonzero status from either half raises.
+    When ``_split_helper`` names a helper, the solve is split by columns:
+    the helper solves the second half while this thread solves the first
+    (``_in_halves``), both in place through ``_RELEASED_POTRS``. Each column
+    is solved by the same LAPACK call either way, so the result is
+    bit-identical to a whole solve. A nonzero status from either half
+    raises.
     """
     if factor is None:
         return pseudo @ rhs
-    shared = _SOLVE_HELPER.get()
-    if (
-        shared is not None
-        and shared[1] == threading.get_ident()
-        and _RELEASED_POTRS is not None
-        and rhs.ndim == 2
-        and rhs.shape[1] > 1
-        and rhs.dtype == np.float64
-        and rhs.flags.f_contiguous
-        and factor.flags.f_contiguous
-        and factor.shape[0] ** 2 * rhs.shape[1] >= _SPLIT_MIN_WORK
-    ):
-        columns = rhs.shape[1]
-        half = columns // 2
-        second = shared[0].submit(_solve_columns, factor, rhs, half, columns)
-        try:
-            status = _solve_columns(factor, rhs, 0, half)
-        finally:
-            status_second = second.result()
-        solution, status = rhs, status or status_second
-    else:
+    helper = _split_helper(factor, rhs)
+    if helper is None:
         solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
+        _check_potrs(status)
+        return solution
+    _in_halves(helper, lambda start, stop: _check_potrs(_solve_columns(factor, rhs, start, stop)),
+               rhs.shape[1])
+    return rhs
+
+
+def _check_potrs(status: int) -> None:
     if status != 0:
         raise ValueError(f"illegal value in argument {-status} of potrs")
-    return solution
+
+
+def _in_halves(helper, run: Callable[[int, int], None], n: int) -> None:
+    """``run(0, n // 2)`` on this thread while ``helper`` runs ``run(n // 2, n)``
+    in this thread's ``contextvars`` context.
+
+    The helper's half is joined before this returns or raises; this thread's
+    error comes first.
+    """
+    second = helper.submit(contextvars.copy_context().run, run, n // 2, n)
+    try:
+        run(0, n // 2)
+    finally:
+        second.exception()
+    second.result()
 
 
 def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,6 +319,11 @@ def solve_least_squares_dictionary(
     with the codes held fixed, via the normal equations on the code Gram
     matrix, solved as ``gram_solver`` solves them. Non-finite inputs or
     codes, or a dictionary that overflows, raise ``ValueError``.
+
+    Inside ``baseline.alternate_layer``, the helper forms and factors the
+    Gram matrix ``codes @ codes.T`` while this thread forms
+    ``inputs @ codes.T`` (``_paired``), and a large solve is split by columns
+    (``_solve_factored``); the result is bit-identical.
     """
     if inputs.ndim != 2 or codes.ndim != 2:
         raise ValueError("inputs and codes must be 2-D matrices")
@@ -268,8 +335,11 @@ def solve_least_squares_dictionary(
         raise ValueError("codes must have at least one row")
     _require_finite(inputs, "inputs")
     _require_finite(codes, "codes")
-    factor, pseudo = _ridged_factor(codes @ codes.T, policy)
-    cross = inputs @ codes.T
+    (factor, pseudo), cross = _paired(
+        lambda: _ridged_factor(codes @ codes.T, policy),
+        lambda: inputs @ codes.T,
+        codes.shape[0] ** 2 * codes.shape[1],
+    )
     dictionary = _solve_factored(factor, pseudo, cross.T).T
     _require_finite(dictionary, "dictionary")
     return dictionary
@@ -280,14 +350,25 @@ def ridge_code(
     inputs: np.ndarray,
     policy: RidgePolicy = DEFAULT_RIDGE,
 ) -> np.ndarray:
-    """Dense least-squares codes for ``inputs ~ dictionary @ codes``."""
+    """Dense least-squares codes for ``inputs ~ dictionary @ codes``.
+
+    Inside ``baseline.alternate_layer``, the helper forms and factors
+    ``dictionary.T @ dictionary`` while this thread forms
+    ``dictionary.T @ inputs`` (``_paired``), and a large solve is split by
+    columns (``_solve_factored``); the result is bit-identical.
+    """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
     if dictionary.shape[0] != inputs.shape[0]:
         raise ValueError(
             f"row counts differ: dictionary has {dictionary.shape[0]}, inputs has {inputs.shape[0]}"
         )
-    return gram_solver(dictionary.T @ dictionary, policy)(dictionary.T @ inputs)
+    solve, corr = _paired(
+        lambda: gram_solver(dictionary.T @ dictionary, policy),
+        lambda: dictionary.T @ inputs,
+        dictionary.shape[1] ** 2 * dictionary.shape[0],
+    )
+    return solve(corr)
 
 
 def qr_orthonormal_init(data: np.ndarray, n_atoms: int, seed: int = 0) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from deepdict.baseline import (
     train_sparse_layer,
     train_stack,
 )
-from deepdict.data import LabeledMatrix
+from deepdict.data import LabeledMatrix, make_synthetic_clusters
 from deepdict import baseline, intraclass, kernels
 from deepdict.intraclass import (
     DdlicConfig,
@@ -133,6 +134,24 @@ class TestSparseLayer:
         _, z_big, _ = train_sparse_layer(inputs, init, 10, l1_weight=2.0)
         assert np.sum(np.abs(z_big)) < np.sum(np.abs(z_small))
         assert np.mean(z_big == 0.0) > np.mean(z_small == 0.0)
+
+    def test_fixed_step_codes_that_all_reach_zero_warn_once(self):
+        x = make_synthetic_clusters(3, 12, 64, 6.0, seed=0).features
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dictionary, codes, trace = train_sparse_layer(
+                x, x[:, :8], 3, 1e3, IstaConfig(step=1e-3)
+            )
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            RuntimeWarning,
+            "every sparse code is zero, so the refreshed dictionary is zero "
+            "and the layer trains to zero codes",
+        )]
+        # trained on as before: a zero model and a flat trace
+        assert not dictionary.any() and not codes.any()
+        assert trace.shape == (3,) and (trace == trace[0]).all()
+        with pytest.raises(ValueError, match="every sparse code is zero at l1_weight=1000.0"):
+            train_sparse_layer(x, x[:, :8], 3, 1e3)
 
 
 class TestSharedLoop:
@@ -365,6 +384,122 @@ class TestSplitSolves:
         with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
             alternate_layer(inputs, init, 2, code_step, objective)
         assert threading.active_count() == before
+
+
+# Trains both stacks' paper-scale-shaped first layers (784-dim inputs, 500
+# columns in 10 classes, 400 atoms) in the layer loop and in serial loops of
+# the public steps, which run outside it. Prints whether a pair's first call
+# ran on the helper, the class ranges each sweep thread took, and whether
+# every dictionary, code matrix and trace match.
+_PAIRS_MATCH_SERIAL = """
+import threading
+import numpy as np
+from deepdict import intraclass, kernels
+from deepdict.baseline import train_dense_layer
+from deepdict.intraclass import layer_objective, train_layer, update_representations
+from deepdict.kernels import (initial_dictionary, ridge_code, solve_least_squares_dictionary,
+                              sparse_objective)
+main, on_helper, sweeps = threading.get_ident(), [], set()
+def recording(paired):
+    def pair(first, second, work):
+        def first_recorded():
+            on_helper.append(threading.get_ident() != main)
+            return first()
+        return paired(first_recorded, second, work)
+    return pair
+kernels._paired = recording(kernels._paired)
+intraclass._paired = recording(intraclass._paired)
+sweep = intraclass._sweep_classes
+def sweep_recorded(rhs, alpha, start, stop, factor, pseudo):
+    sweeps.add((start, stop, threading.get_ident() == main))
+    return sweep(rhs, alpha, start, stop, factor, pseudo)
+intraclass._sweep_classes = sweep_recorded
+rng = np.random.default_rng(27)
+x = rng.normal(size=(784, 500)) + 10.0 * rng.normal(size=(784, 10)).repeat(50, axis=1)
+init = initial_dictionary(x, 400, 1, "qr", 0)
+classes = [np.arange(c * 50, (c + 1) * 50) for c in range(10)]
+looped = [*train_dense_layer(x, init, 2), *train_layer(x, 1e-4, 400, 2, classes, init)]
+paired, split = any(on_helper), sorted(sweeps)
+on_helper.clear()
+serial = []
+for step, objective in (
+    (lambda d, z: ridge_code(d, x), lambda d, z: sparse_objective(d, x, z, 0.0)),
+    (lambda d, z: update_representations(d, x, z, 1e-4, classes),
+     lambda d, z: layer_objective(x, d, z, 1e-4, classes)),
+):
+    codes, trace = ridge_code(init, x), []
+    for _ in range(2):
+        dictionary = solve_least_squares_dictionary(x, codes)
+        codes = step(dictionary, codes)
+        trace.append(objective(dictionary, codes))
+    serial += [dictionary, codes, np.asarray(trace)]
+print(paired, not any(on_helper), split,
+      all(np.array_equal(a, b) for a, b in zip(looped, serial)))
+"""
+
+
+def _helper_seen_by_factors():
+    """Whether the layer loop's helper was set at each factorization of a
+    layer large enough for pairs (300 x 300 inputs, 120 atoms)."""
+    seen, factor = [], kernels._ridged_factor
+
+    def recording(*args):
+        seen.append(kernels._SOLVE_HELPER.get() is not None)
+        return factor(*args)
+
+    kernels._ridged_factor = recording
+    try:
+        train_dense_layer(*_instance(28, d=300, k=120, n=300), 2)
+    finally:
+        kernels._ridged_factor = factor
+    return seen
+
+
+class TestPairedProducts:
+    """Independent products and sweep classes run on the layer loop's two threads."""
+
+    def test_both_stacks_match_serial_loops_with_blas_threads_unset(self):
+        if kernels._RELEASED_POTRS is None:
+            pytest.skip("SciPy does not ship its own OpenBLAS")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baseline.__file__))
+        done = subprocess.run([sys.executable, "-c", _PAIRS_MATCH_SERIAL], env=env,
+                              capture_output=True, text=True, check=True)
+        # the sweep's one size group: classes 0-4 on this thread, 5-9 on the helper
+        assert done.stdout == "True True [(0, 5, True), (5, 10, False)] True\n"
+
+    def test_no_thread_or_helper_outlives_a_pair(self, monkeypatch):
+        inputs, init = _instance(29, d=300, k=120, n=300)
+        assert 120 * 120 * 300 >= kernels._PAIR_MIN_WORK
+        code_step = lambda dictionary, codes: ridge_code(dictionary, inputs)
+        objective = lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0)
+        before = threading.active_count()
+        alternate_layer(inputs, init, 2, code_step, objective)
+        assert threading.active_count() == before
+        assert kernels._SOLVE_HELPER.get() is None
+        # the third factorization, the first code step's, is a pair's first call
+        factor, calls = kernels._ridged_factor, []
+
+        def failing(*args):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise ObjectiveFailed("factor failed")
+            return factor(*args)
+
+        monkeypatch.setattr(kernels, "_ridged_factor", failing)
+        with pytest.raises(ObjectiveFailed, match="factor failed"):
+            alternate_layer(inputs, init, 3, code_step, objective)
+        assert len(calls) == 3
+        assert threading.active_count() == before
+        assert kernels._SOLVE_HELPER.get() is None
+
+    def test_no_pair_in_a_pool_worker(self):
+        assert _helper_seen_by_factors() == [True] * 5
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            seen = pool.submit(_helper_seen_by_factors).result(timeout=120)
+        assert seen == [False] * 5
 
 
 SMALL = TrainConfig(depth=2, layer_sizes=(3, 2), iters_per_layer=2)

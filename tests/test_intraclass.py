@@ -1,6 +1,8 @@
 """Label-aware trainer: penalty, gradients, closed-form updates, full stack."""
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepdict import intraclass, kernels
 from deepdict.data import make_synthetic_clusters
 from deepdict.intraclass import (
     DdlicConfig,
@@ -443,6 +446,94 @@ class TestClosedFormUpdates:
             block = new[:, idx]
             spread = np.max(np.abs(block - block.mean(axis=1, keepdims=True)))
             assert spread < 0.05
+
+
+def _swept_as_owner(monkeypatch, sweep_args, blocked=False):
+    """``update_representations(*sweep_args)`` on the thread that owns a helper,
+    with every pair and every group large enough to hand work over, and the
+    ``_sweep_classes`` calls as (positions, start, stop, on this thread).
+    With ``blocked``, the helper is busy until the first sweep starts, so
+    the products' pair is taken back."""
+    monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
+    calls, sweep, me = [], intraclass._sweep_classes, threading.get_ident()
+    release = threading.Event()
+
+    def recording(rhs, alpha, start, stop, factor, pseudo):
+        release.set()
+        calls.append((rhs.shape[0], start, stop, threading.get_ident() == me))
+        sweep(rhs, alpha, start, stop, factor, pseudo)
+
+    monkeypatch.setattr(intraclass, "_sweep_classes", recording)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        if blocked:
+            helper.submit(release.wait, 60)
+        token = kernels._SOLVE_HELPER.set((helper, me))
+        try:
+            got = update_representations(*sweep_args)
+        finally:
+            kernels._SOLVE_HELPER.reset(token)
+            release.set()
+    return got, sorted(calls)
+
+
+class TestClassSplitSweep:
+    """A large size group sweeps half its classes on the layer loop's helper."""
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3])
+    @pytest.mark.parametrize("counts, want", [
+        # seven classes of 3: one group, split 3 | 4
+        ((3,) * 7, [(3, 0, 3, True), (3, 3, 7, False)]),
+        # three sizes, each with an odd number of classes
+        ((4, 2, 4, 2, 4, 5, 2, 2, 2),
+         [(2, 0, 2, True), (2, 2, 5, False), (4, 0, 1, True), (4, 1, 3, False), (5, 0, 1, True)]),
+    ])
+    def test_split_is_bit_identical_to_the_whole_sweep(self, monkeypatch, alpha, counts, want):
+        inputs, dictionary, codes, class_index = _instance(30, d=12, k=7, counts=counts)
+        args = (dictionary, inputs, codes, alpha, class_index)
+        whole = update_representations(*args)
+        for blocked in (False, True):
+            got, calls = _swept_as_owner(monkeypatch, args, blocked)
+            assert np.array_equal(got, whole)
+            assert calls == want
+            monkeypatch.undo()
+
+    def test_one_class_and_the_merged_zero_weight_group(self, monkeypatch):
+        inputs, dictionary, codes, class_index = _instance(31, d=12, k=7, counts=(9,))
+        args = (dictionary, inputs, codes, 0.2, class_index)
+        got, calls = _swept_as_owner(monkeypatch, args)
+        assert np.array_equal(got, update_representations(*args))
+        assert calls == [(9, 0, 1, True)]  # one class sweeps whole
+        monkeypatch.undo()
+        # alpha == 0: every column in one position of one merged group, split by column
+        inputs, dictionary, codes, class_index = _instance(32, d=12, k=7, counts=(4, 3, 4))
+        args = (dictionary, inputs, codes, 0.0, class_index)
+        got, calls = _swept_as_owner(monkeypatch, args)
+        assert np.array_equal(got, update_representations(*args))
+        assert calls == [(1, 0, 5, True), (1, 5, 11, False)]
+
+    def test_a_pseudo_inverse_group_sweeps_whole(self, monkeypatch):
+        # singleton classes have no shift, so a dead atom without a ridge
+        # leaves their group to the pseudo-inverse; the size-3 group factors
+        inputs, dictionary, codes, class_index = _instance(33, d=12, k=7, counts=(1, 3, 1, 3, 1))
+        dictionary[:, 2] = 0.0
+        args = (dictionary, inputs, codes, 0.1, class_index, RidgePolicy(epsilon_scale=0.0))
+        got, calls = _swept_as_owner(monkeypatch, args)
+        assert np.array_equal(got, update_representations(*args))
+        assert calls == [(1, 0, 3, True), (3, 0, 1, True), (3, 1, 2, False)]
+
+    def test_a_failed_half_raises_after_both_halves_finish(self, monkeypatch):
+        inputs, dictionary, codes, class_index = _instance(34, d=12, k=7, counts=(3,) * 4)
+        finished, solve = [], intraclass._solve_columns
+
+        def helper_half_fails(factor, rhs, start, stop):
+            finished.append(start)
+            return -6 if start else solve(factor, rhs, start, stop)
+
+        monkeypatch.setattr(intraclass, "_solve_columns", helper_half_fails)
+        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
+            _swept_as_owner(monkeypatch, (dictionary, inputs, codes, 0.1, class_index))
+        assert sorted(finished) == [0, 0, 0, 2]  # the helper's half stops at its first position
 
 
 class TestLayerTraining:

@@ -4,6 +4,7 @@ import contextvars
 import math
 import re
 import threading
+import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -294,6 +295,167 @@ class TestSplitSolve:
         with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
             _solved_with_helper(factor, rhs)
         assert sorted(finished) == [0, 4]
+
+
+class FirstFailed(Exception):
+    pass
+
+
+class SecondFailed(Exception):
+    pass
+
+
+def _as_owner(helper, fn):
+    """``fn()`` with ``helper`` set as the layer loop's helper, owned by this thread."""
+    token = kernels._SOLVE_HELPER.set((helper, threading.get_ident()))
+    try:
+        return fn()
+    finally:
+        kernels._SOLVE_HELPER.reset(token)
+
+
+def _blocked(helper):
+    """Occupy ``helper``'s one thread until the returned event is set."""
+    release, started = threading.Event(), threading.Event()
+    helper.submit(lambda: started.set() or release.wait(60))
+    assert started.wait(60)
+    return release
+
+
+class TestPairs:
+    """Two independent calls of the layer loop overlap on its helper thread."""
+
+    def _threads(self, wait=False):
+        """Two calls that record the thread each runs on and return their names;
+        with ``wait``, the second waits until the first has started."""
+        seen, started = {}, threading.Event()
+
+        def first():
+            seen["first"] = threading.get_ident()
+            started.set()
+            return "first"
+
+        def second():
+            assert not wait or started.wait(60)
+            seen["second"] = threading.get_ident()
+            return "second"
+
+        return seen, first, second
+
+    def test_the_first_call_runs_on_the_helper(self):
+        seen, first, second = self._threads(wait=True)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            got = _as_owner(helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK))
+        assert got == ("first", "second")
+        assert seen["second"] == threading.get_ident() != seen["first"]
+
+    def test_no_pair_below_the_gate_without_a_helper_or_on_the_helper(self):
+        me = threading.get_ident()
+        seen, first, second = self._threads()
+        assert kernels._paired(first, second, 1 << 40) == ("first", "second")
+        assert seen == {"first": me, "second": me}
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            seen.clear()
+            _as_owner(helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK - 1))
+            assert seen == {"first": me, "second": me}
+            # code on the helper sees the owner's value; it must not wait on itself
+            seen.clear()
+            on_helper = _as_owner(helper, lambda: helper.submit(
+                contextvars.copy_context().run,
+                lambda: (threading.get_ident(), kernels._paired(first, second, 1 << 40)),
+            ).result(timeout=60))
+            assert on_helper[1] == ("first", "second")
+            assert seen == {"first": on_helper[0], "second": on_helper[0]}
+
+    def test_the_owner_takes_back_a_call_the_helper_has_not_started(self):
+        seen, first, second = self._threads()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            release = _blocked(helper)
+            try:
+                got = _as_owner(
+                    helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK)
+                )
+            finally:
+                release.set()
+        assert got == ("first", "second")
+        assert seen == {"first": threading.get_ident(), "second": threading.get_ident()}
+
+    def test_take_back_leaves_the_solvers_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
+        rng = RNG(26)
+        dictionary, inputs, codes = (rng.normal(size=s) for s in ((30, 12), (30, 50), (12, 50)))
+        want = (ridge_code(dictionary, inputs), solve_least_squares_dictionary(inputs, codes))
+        factored, factor = [], kernels._ridged_factor
+        monkeypatch.setattr(kernels, "_ridged_factor", lambda *args: (
+            factored.append(threading.get_ident()) or factor(*args)))
+        for blocked in (True, False):
+            factored.clear()
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                release = _blocked(helper) if blocked else threading.Event()
+                try:
+                    got = _as_owner(helper, lambda: (
+                        ridge_code(dictionary, inputs),
+                        solve_least_squares_dictionary(inputs, codes),
+                    ))
+                finally:
+                    release.set()
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert len(factored) == 2
+            if blocked:  # both factors were taken back
+                assert factored == [threading.get_ident()] * 2
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_errors_are_those_of_the_calls_in_sequence(self, blocked):
+        first_error, second_error = FirstFailed("first"), SecondFailed("second")
+
+        def fail(error):
+            def run():
+                raise error
+            return run
+
+        def pair(first, second):
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                release = _blocked(helper) if blocked else threading.Event()
+                try:
+                    return _as_owner(
+                        helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK)
+                    )
+                finally:
+                    release.set()
+
+        with pytest.raises(FirstFailed) as caught:
+            pair(fail(first_error), fail(second_error))
+        assert caught.value is first_error
+        with pytest.raises(FirstFailed) as caught:
+            pair(fail(first_error), lambda: 1)
+        assert caught.value is first_error
+        with pytest.raises(SecondFailed) as caught:
+            pair(lambda: 1, fail(second_error))
+        assert caught.value is second_error
+
+    def test_the_helper_finishes_its_call_before_the_pair_raises(self):
+        finished = []
+
+        def slow_first():
+            time.sleep(0.2)
+            finished.append(True)
+
+        def failing_second():
+            raise SecondFailed("second")
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(SecondFailed):
+                _as_owner(helper, lambda: kernels._paired(
+                    slow_first, failing_second, kernels._PAIR_MIN_WORK))
+            assert finished == [True]
+
+    def test_the_helper_sees_the_callers_errstate(self):
+        seen, first, second = self._threads(wait=True)
+        with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(over="raise"):
+            errstate = _as_owner(helper, lambda: kernels._paired(
+                lambda: first() and np.geterr()["over"], second, kernels._PAIR_MIN_WORK,
+            ))[0]
+        assert seen["first"] != threading.get_ident() and errstate == "raise"
 
 
 class TestClosedFormSolvers:
