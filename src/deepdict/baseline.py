@@ -133,12 +133,11 @@ def alternate_layer(
     may reuse one scratch buffer. The values are collected in iteration
     order and are the same as inline calls. While the helper lives, this
     thread also hands it work from the starting codes, the refresh and
-    ``code_step``, with bit-identical results: half the columns of each
-    large factored solve (``kernels._solve_factored``), the first of two
-    independent products (``kernels._paired``: a Gram matrix and its
-    factor, taken back when the helper has not started it by the time the
-    other product is done), and half the classes of a large ``ddlic`` sweep
-    group (``intraclass.update_representations``). The helper lives only
+    ``code_step`` through ``kernels._paired``, with bit-identical results:
+    half the columns of each large factored solve
+    (``kernels._solve_factored``), the first of two independent products in
+    ``ridge_code`` and the ``ddlic`` sweep, and half the classes of a large
+    sweep group (``intraclass.update_representations``). The helper lives only
     inside the call. Each objective runs on the calling thread instead, and
     no work is handed over, in a child process of ``multiprocessing`` (a
     pool worker, whose siblings keep the cores busy) and on a layer whose

@@ -24,7 +24,7 @@ from .kernels import (
     _check_stack_settings,
     _check_potrs,
     _check_trained_stack,
-    _in_halves,
+    _pair_helper,
     _paired,
     _require_finite,
     _ridged_factor,
@@ -210,13 +210,15 @@ def update_representations(
     Without coupling (``alpha == 0``, or singleton classes) there is one
     position, so a group's columns take one solve together.
 
-    Inside ``baseline.alternate_layer``, the helper forms ``D^T D`` while
-    this thread forms ``X^T D`` (``kernels._paired``). A group whose
-    position solves ``kernels._split_helper`` would split sweeps by class
-    instead: the helper sweeps every position of the second half of the
-    group's classes while this thread sweeps the first half, joined before
-    this returns or raises (this thread's error first). A pseudo-inverse
-    group sweeps whole. The result is bit-identical either way.
+    Inside ``baseline.alternate_layer``, when ``D^T D`` costs at least
+    ``kernels._PAIR_MIN_WORK`` multiply-adds, the helper forms it while this
+    thread forms ``X^T D`` (``kernels._paired``). A group whose position
+    solves ``kernels._split_helper`` would split sweeps by class instead
+    (``kernels._paired`` again): the helper sweeps every position of the
+    second half of the group's classes while this thread sweeps the first
+    half, joined before this returns or raises (the helper's error first).
+    A pseudo-inverse group sweeps whole. The result is bit-identical either
+    way.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -232,7 +234,7 @@ def update_representations(
     gram, corr = _paired(
         lambda: dictionary.T @ dictionary,
         lambda: inputs.T @ dictionary,
-        dictionary.shape[1] ** 2 * dictionary.shape[0],
+        _pair_helper(dictionary.shape[1] ** 2 * dictionary.shape[0]),
     )
     old = codes.T
     out = np.empty_like(corr)
@@ -253,11 +255,9 @@ def update_representations(
         if helper is None:
             _sweep_classes(rhs, alpha, 0, len(cols), factor, pseudo)
         else:
-            _in_halves(
-                helper,
-                lambda start, stop: _sweep_classes(rhs, alpha, start, stop, factor, None),
-                len(cols),
-            )
+            half = len(cols) // 2
+            _paired(lambda: _sweep_classes(rhs, alpha, half, len(cols), factor, None),
+                    lambda: _sweep_classes(rhs, alpha, 0, half, factor, None), helper)
         out[by_position] = rhs
     _require_finite(out, "updated codes")
     return np.ascontiguousarray(out.T)

@@ -130,12 +130,10 @@ _SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", 
 # 400 x 10 took 221 and 201 us, and 400 x 784 15.6 and 6.7 ms.
 _SPLIT_MIN_WORK = 1 << 20
 
-# Below this many multiply-adds in the helper's call, a ``_paired`` call runs
-# its two calls in sequence. On a 2-core x86-64 VM with one BLAS thread,
-# pairing the 2.0 M and 2.8 M products of the `paper-scale` layer-3 sweep and
-# the `many-class` layer-1 refresh gained nothing (within 1-7 % either way,
-# interleaved medians of 30-80 layers); a prototype without a gate made
-# `many-class` `ddlic` about 3 % slower end to end.
+# Below this many multiply-adds in the helper's call, a pair of independent
+# products runs in sequence (``_pair_helper``). On a 2-core x86-64 VM with one
+# BLAS thread, pairing the 2.0 M products of the `paper-scale` layer-3 sweep
+# gained nothing (within 1-7 % either way, interleaved medians of 30-80 layers).
 _PAIR_MIN_WORK = 1 << 22
 
 
@@ -145,29 +143,27 @@ def _owned_helper():
     return shared[0] if shared is not None and shared[1] == threading.get_ident() else None
 
 
-def _paired(first: Callable, second: Callable, work: int) -> tuple:
-    """``(first(), second())`` for two independent calls, overlapped when it pays.
+def _pair_helper(work: int):
+    """The helper for a pair whose helper call costs ``work`` multiply-adds, or None."""
+    return _owned_helper() if work >= _PAIR_MIN_WORK else None
 
-    On the thread that owns ``alternate_layer``'s helper, when ``first`` costs
-    at least ``_PAIR_MIN_WORK`` multiply-adds (``work``), the helper runs
-    ``first`` (in this thread's ``contextvars`` context) while this thread
-    runs ``second``. If the helper has not started ``first`` by the time
-    ``second`` returns (it may still be computing the last objective), this
-    thread takes it back and runs it itself. Each call runs whole and once,
-    so the results are bit-identical to calls in sequence, and so is the
-    error: ``first``'s if it raises, else ``second``'s. ``first`` is joined
-    before this returns or raises. Everywhere else, the two calls run in
-    sequence on this thread.
+
+def _paired(first: Callable, second: Callable, helper) -> tuple:
+    """``(first(), second())`` for two independent calls.
+
+    With a ``helper`` executor, the helper runs ``first`` in this thread's
+    ``contextvars`` context while this thread runs ``second``. ``first`` is
+    joined before this returns or raises, and its error wins, as in
+    sequence. With ``helper=None`` the two calls run in sequence here. Each
+    call runs whole and once, so the results are those of calls in sequence.
     """
-    helper = _owned_helper() if work >= _PAIR_MIN_WORK else None
     if helper is None:
         return first(), second()
     future = helper.submit(contextvars.copy_context().run, first)
     try:
         result = second()
     finally:
-        # taken back when not yet started; a raise here wins, as in sequence
-        head = first() if future.cancel() else future.result()
+        head = future.result()
     return head, result
 
 
@@ -244,12 +240,12 @@ def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
     A factored solve overwrites an F-contiguous float ``rhs`` and returns
     it; the pseudo-inverse path returns a new array.
 
-    When ``_split_helper`` names a helper, the solve is split by columns:
-    the helper solves the second half while this thread solves the first
-    (``_in_halves``), both in place through ``_RELEASED_POTRS``. Each column
+    When ``_split_helper`` names a helper, the solve is split by columns
+    (``_paired``): the helper solves the second half while this thread
+    solves the first, both in place through ``_RELEASED_POTRS``. Each column
     is solved by the same LAPACK call either way, so the result is
     bit-identical to a whole solve. A nonzero status from either half
-    raises.
+    raises, the helper's when both fail.
     """
     if factor is None:
         return pseudo @ rhs
@@ -258,29 +254,15 @@ def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
         solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
         _check_potrs(status)
         return solution
-    _in_halves(helper, lambda start, stop: _check_potrs(_solve_columns(factor, rhs, start, stop)),
-               rhs.shape[1])
+    n = rhs.shape[1]
+    _paired(lambda: _check_potrs(_solve_columns(factor, rhs, n // 2, n)),
+            lambda: _check_potrs(_solve_columns(factor, rhs, 0, n // 2)), helper)
     return rhs
 
 
 def _check_potrs(status: int) -> None:
     if status != 0:
         raise ValueError(f"illegal value in argument {-status} of potrs")
-
-
-def _in_halves(helper, run: Callable[[int, int], None], n: int) -> None:
-    """``run(0, n // 2)`` on this thread while ``helper`` runs ``run(n // 2, n)``
-    in this thread's ``contextvars`` context.
-
-    The helper's half is joined before this returns or raises; this thread's
-    error comes first.
-    """
-    second = helper.submit(contextvars.copy_context().run, run, n // 2, n)
-    try:
-        run(0, n // 2)
-    finally:
-        second.exception()
-    second.result()
 
 
 def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callable[[np.ndarray], np.ndarray]:
@@ -320,9 +302,8 @@ def solve_least_squares_dictionary(
     matrix, solved as ``gram_solver`` solves them. Non-finite inputs or
     codes, or a dictionary that overflows, raise ``ValueError``.
 
-    Inside ``baseline.alternate_layer``, the helper forms and factors the
-    Gram matrix ``codes @ codes.T`` while this thread forms
-    ``inputs @ codes.T`` (``_paired``), and a large solve is split by columns
+    The products and the factor are formed on this thread. Inside
+    ``baseline.alternate_layer`` a large solve is split by columns
     (``_solve_factored``); the result is bit-identical.
     """
     if inputs.ndim != 2 or codes.ndim != 2:
@@ -335,12 +316,8 @@ def solve_least_squares_dictionary(
         raise ValueError("codes must have at least one row")
     _require_finite(inputs, "inputs")
     _require_finite(codes, "codes")
-    (factor, pseudo), cross = _paired(
-        lambda: _ridged_factor(codes @ codes.T, policy),
-        lambda: inputs @ codes.T,
-        codes.shape[0] ** 2 * codes.shape[1],
-    )
-    dictionary = _solve_factored(factor, pseudo, cross.T).T
+    factor, pseudo = _ridged_factor(codes @ codes.T, policy)
+    dictionary = _solve_factored(factor, pseudo, (inputs @ codes.T).T).T
     _require_finite(dictionary, "dictionary")
     return dictionary
 
@@ -352,10 +329,11 @@ def ridge_code(
 ) -> np.ndarray:
     """Dense least-squares codes for ``inputs ~ dictionary @ codes``.
 
-    Inside ``baseline.alternate_layer``, the helper forms and factors
-    ``dictionary.T @ dictionary`` while this thread forms
-    ``dictionary.T @ inputs`` (``_paired``), and a large solve is split by
-    columns (``_solve_factored``); the result is bit-identical.
+    Inside ``baseline.alternate_layer``, when ``dictionary.T @ dictionary``
+    costs at least ``_PAIR_MIN_WORK`` multiply-adds, the helper forms and
+    factors it while this thread forms ``dictionary.T @ inputs``
+    (``_paired``), and a large solve is split by columns
+    (``_solve_factored``); the result is bit-identical.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
@@ -366,7 +344,7 @@ def ridge_code(
     solve, corr = _paired(
         lambda: gram_solver(dictionary.T @ dictionary, policy),
         lambda: dictionary.T @ inputs,
-        dictionary.shape[1] ** 2 * dictionary.shape[0],
+        _pair_helper(dictionary.shape[1] ** 2 * dictionary.shape[0]),
     )
     return solve(corr)
 

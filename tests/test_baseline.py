@@ -401,11 +401,11 @@ from deepdict.kernels import (initial_dictionary, ridge_code, solve_least_square
                               sparse_objective)
 main, on_helper, sweeps = threading.get_ident(), [], set()
 def recording(paired):
-    def pair(first, second, work):
+    def pair(first, second, helper):
         def first_recorded():
             on_helper.append(threading.get_ident() != main)
             return first()
-        return paired(first_recorded, second, work)
+        return paired(first_recorded, second, helper)
     return pair
 kernels._paired = recording(kernels._paired)
 intraclass._paired = recording(intraclass._paired)
@@ -493,6 +493,19 @@ class TestPairedProducts:
         assert len(calls) == 3
         assert threading.active_count() == before
         assert kernels._SOLVE_HELPER.get() is None
+
+    def test_the_refresh_factors_on_the_owning_thread(self, monkeypatch):
+        # the codes stay the starting codes, so the factors after the first are the refreshes'
+        inputs, init = _instance(30, d=300, k=120, n=300)
+        assert 120 * 120 * 300 >= kernels._PAIR_MIN_WORK
+        factored, factor = [], kernels._ridged_factor
+        monkeypatch.setattr(kernels, "_ridged_factor", lambda *args: (
+            factored.append(threading.get_ident()) or factor(*args)))
+        alternate_layer(inputs, init, 3, lambda dictionary, codes: codes,
+                        lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0))
+        me = threading.get_ident()
+        assert factored[0] != me  # the starting codes' pair
+        assert factored[1:] == [me] * 3
 
     def test_no_pair_in_a_pool_worker(self):
         assert _helper_seen_by_factors() == [True] * 5

@@ -448,32 +448,25 @@ class TestClosedFormUpdates:
             assert spread < 0.05
 
 
-def _swept_as_owner(monkeypatch, sweep_args, blocked=False):
+def _swept_as_owner(monkeypatch, sweep_args):
     """``update_representations(*sweep_args)`` on the thread that owns a helper,
     with every pair and every group large enough to hand work over, and the
-    ``_sweep_classes`` calls as (positions, start, stop, on this thread).
-    With ``blocked``, the helper is busy until the first sweep starts, so
-    the products' pair is taken back."""
+    ``_sweep_classes`` calls as (positions, start, stop, on this thread)."""
     monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
     monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
     calls, sweep, me = [], intraclass._sweep_classes, threading.get_ident()
-    release = threading.Event()
 
     def recording(rhs, alpha, start, stop, factor, pseudo):
-        release.set()
         calls.append((rhs.shape[0], start, stop, threading.get_ident() == me))
         sweep(rhs, alpha, start, stop, factor, pseudo)
 
     monkeypatch.setattr(intraclass, "_sweep_classes", recording)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        if blocked:
-            helper.submit(release.wait, 60)
         token = kernels._SOLVE_HELPER.set((helper, me))
         try:
             got = update_representations(*sweep_args)
         finally:
             kernels._SOLVE_HELPER.reset(token)
-            release.set()
     return got, sorted(calls)
 
 
@@ -492,11 +485,9 @@ class TestClassSplitSweep:
         inputs, dictionary, codes, class_index = _instance(30, d=12, k=7, counts=counts)
         args = (dictionary, inputs, codes, alpha, class_index)
         whole = update_representations(*args)
-        for blocked in (False, True):
-            got, calls = _swept_as_owner(monkeypatch, args, blocked)
-            assert np.array_equal(got, whole)
-            assert calls == want
-            monkeypatch.undo()
+        got, calls = _swept_as_owner(monkeypatch, args)
+        assert np.array_equal(got, whole)
+        assert calls == want
 
     def test_one_class_and_the_merged_zero_weight_group(self, monkeypatch):
         inputs, dictionary, codes, class_index = _instance(31, d=12, k=7, counts=(9,))

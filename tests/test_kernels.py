@@ -295,6 +295,11 @@ class TestSplitSolve:
         with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
             _solved_with_helper(factor, rhs)
         assert sorted(finished) == [0, 4]
+        # when both halves fail, the helper's (second) half's error wins
+        monkeypatch.setattr(kernels, "_solve_columns",
+                            lambda factor, rhs, start, stop: -6 if start else -5)
+        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
+            _solved_with_helper(factor, rhs)
 
 
 class FirstFailed(Exception):
@@ -314,12 +319,20 @@ def _as_owner(helper, fn):
         kernels._SOLVE_HELPER.reset(token)
 
 
-def _blocked(helper):
-    """Occupy ``helper``'s one thread until the returned event is set."""
-    release, started = threading.Event(), threading.Event()
-    helper.submit(lambda: started.set() or release.wait(60))
-    assert started.wait(60)
-    return release
+def _blocked(helper, release):
+    """Occupy ``helper``'s one thread until ``release`` is set. The returned
+    future raises ``TimeoutError`` if that takes more than 10 s, so a test
+    that checks it fails instead of passing late."""
+    started = threading.Event()
+
+    def hold():
+        started.set()
+        if not release.wait(10):
+            raise TimeoutError("the helper was never released")
+
+    held = helper.submit(hold)
+    assert started.wait(10)
+    return held
 
 
 class TestPairs:
@@ -345,42 +358,42 @@ class TestPairs:
     def test_the_first_call_runs_on_the_helper(self):
         seen, first, second = self._threads(wait=True)
         with ThreadPoolExecutor(max_workers=1) as helper:
-            got = _as_owner(helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK))
+            got = kernels._paired(first, second, helper)
         assert got == ("first", "second")
         assert seen["second"] == threading.get_ident() != seen["first"]
 
     def test_no_pair_below_the_gate_without_a_helper_or_on_the_helper(self):
         me = threading.get_ident()
         seen, first, second = self._threads()
-        assert kernels._paired(first, second, 1 << 40) == ("first", "second")
+        assert kernels._pair_helper(1 << 40) is None
+        assert kernels._paired(first, second, None) == ("first", "second")
         assert seen == {"first": me, "second": me}
         with ThreadPoolExecutor(max_workers=1) as helper:
-            seen.clear()
-            _as_owner(helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK - 1))
-            assert seen == {"first": me, "second": me}
+            gate = kernels._PAIR_MIN_WORK
+            assert _as_owner(helper, lambda: kernels._pair_helper(gate)) is helper
+            assert _as_owner(helper, lambda: kernels._pair_helper(gate - 1)) is None
             # code on the helper sees the owner's value; it must not wait on itself
-            seen.clear()
             on_helper = _as_owner(helper, lambda: helper.submit(
-                contextvars.copy_context().run,
-                lambda: (threading.get_ident(), kernels._paired(first, second, 1 << 40)),
+                contextvars.copy_context().run, kernels._pair_helper, 1 << 40,
             ).result(timeout=60))
-            assert on_helper[1] == ("first", "second")
-            assert seen == {"first": on_helper[0], "second": on_helper[0]}
+            assert on_helper is None
 
-    def test_the_owner_takes_back_a_call_the_helper_has_not_started(self):
+    def test_a_busy_helper_is_waited_for(self):
         seen, first, second = self._threads()
+        release = threading.Event()
         with ThreadPoolExecutor(max_workers=1) as helper:
-            release = _blocked(helper)
+            held = _blocked(helper, release)
+            timer = threading.Timer(0.1, release.set)
+            timer.start()
             try:
-                got = _as_owner(
-                    helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK)
-                )
+                got = kernels._paired(first, second, helper)
             finally:
-                release.set()
+                timer.join(timeout=10)
+            held.result(timeout=30)
         assert got == ("first", "second")
-        assert seen == {"first": threading.get_ident(), "second": threading.get_ident()}
+        assert seen["second"] == threading.get_ident() != seen["first"]
 
-    def test_take_back_leaves_the_solvers_bit_identical(self, monkeypatch):
+    def test_pairs_leave_the_solvers_bit_identical(self, monkeypatch):
         monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
         rng = RNG(26)
         dictionary, inputs, codes = (rng.normal(size=s) for s in ((30, 12), (30, 50), (12, 50)))
@@ -388,24 +401,16 @@ class TestPairs:
         factored, factor = [], kernels._ridged_factor
         monkeypatch.setattr(kernels, "_ridged_factor", lambda *args: (
             factored.append(threading.get_ident()) or factor(*args)))
-        for blocked in (True, False):
-            factored.clear()
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                release = _blocked(helper) if blocked else threading.Event()
-                try:
-                    got = _as_owner(helper, lambda: (
-                        ridge_code(dictionary, inputs),
-                        solve_least_squares_dictionary(inputs, codes),
-                    ))
-                finally:
-                    release.set()
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            assert len(factored) == 2
-            if blocked:  # both factors were taken back
-                assert factored == [threading.get_ident()] * 2
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            got = _as_owner(helper, lambda: (
+                ridge_code(dictionary, inputs),
+                solve_least_squares_dictionary(inputs, codes),
+            ))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # ridge_code's factor runs on the helper, the refresh's on this thread
+        assert len(factored) == 2 and factored[0] != factored[1] == threading.get_ident()
 
-    @pytest.mark.parametrize("blocked", [False, True])
-    def test_errors_are_those_of_the_calls_in_sequence(self, blocked):
+    def test_errors_are_those_of_the_calls_in_sequence(self):
         first_error, second_error = FirstFailed("first"), SecondFailed("second")
 
         def fail(error):
@@ -415,13 +420,7 @@ class TestPairs:
 
         def pair(first, second):
             with ThreadPoolExecutor(max_workers=1) as helper:
-                release = _blocked(helper) if blocked else threading.Event()
-                try:
-                    return _as_owner(
-                        helper, lambda: kernels._paired(first, second, kernels._PAIR_MIN_WORK)
-                    )
-                finally:
-                    release.set()
+                return kernels._paired(first, second, helper)
 
         with pytest.raises(FirstFailed) as caught:
             pair(fail(first_error), fail(second_error))
@@ -445,16 +444,15 @@ class TestPairs:
 
         with ThreadPoolExecutor(max_workers=1) as helper:
             with pytest.raises(SecondFailed):
-                _as_owner(helper, lambda: kernels._paired(
-                    slow_first, failing_second, kernels._PAIR_MIN_WORK))
+                kernels._paired(slow_first, failing_second, helper)
             assert finished == [True]
 
     def test_the_helper_sees_the_callers_errstate(self):
         seen, first, second = self._threads(wait=True)
         with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(over="raise"):
-            errstate = _as_owner(helper, lambda: kernels._paired(
-                lambda: first() and np.geterr()["over"], second, kernels._PAIR_MIN_WORK,
-            ))[0]
+            errstate = kernels._paired(
+                lambda: first() and np.geterr()["over"], second, helper,
+            )[0]
         assert seen["first"] != threading.get_ident() and errstate == "raise"
 
 
