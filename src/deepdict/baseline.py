@@ -10,13 +10,13 @@ loop (``train_stack``) defined here train the label-aware stack too.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import multiprocessing
-import threading
 import warnings
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ from .kernels import (
     _SOLVE_HELPER,
     _check_stack_settings,
     _check_trained_stack,
+    _paired,
     initial_dictionary,
     ista_sparse_code,
     ridge_code,
@@ -98,18 +99,6 @@ class DdlModel:
 _HELPER_MIN_WORK = 1 << 21
 
 
-class _Inline(Executor):
-    """Runs each submitted call at once, on the calling thread."""
-
-    def submit(self, fn, /, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as err:
-            future.set_exception(err)
-        return future
-
-
 def alternate_layer(
     inputs: np.ndarray,
     init_dict: np.ndarray,
@@ -127,52 +116,52 @@ def alternate_layer(
     objective, the trace is non-increasing. Returns (dictionary, codes,
     trace), the trace holding one value per iteration.
 
-    Nothing later waits for an objective, so each runs on one helper thread,
-    in the caller's ``contextvars`` context (``np.errstate`` included), while
-    the next iteration trains; at most one runs at a time, so an objective
-    may reuse one scratch buffer. The values are collected in iteration
-    order and are the same as inline calls. While the helper lives, this
-    thread also hands it work from the starting codes, the refresh and
-    ``code_step`` through ``kernels._paired``, with bit-identical results:
-    half the columns of each large factored solve
-    (``kernels._solve_factored``), the first of two independent products in
-    ``ridge_code`` and the ``ddlic`` sweep, and half the classes of a large
-    sweep group (``intraclass.update_representations``). The helper lives only
-    inside the call. Each objective runs on the calling thread instead, and
-    no work is handed over, in a child process of ``multiprocessing`` (a
-    pool worker, whose siblings keep the cores busy) and on a layer whose
-    product ``dictionary @ codes`` takes fewer than 2**21 multiply-adds,
-    which costs less than the hand-off. An objective's exception is raised
-    from this call unchanged, and wins over one that a later step raised.
+    Nothing later waits for an objective, so iteration t's objective and
+    iteration t+1's refresh and code step form one ``kernels._paired``
+    pair: a helper thread runs the objective while this thread trains on;
+    the last objective pairs with a step that returns the trained pair.
+    The refresh, ``code_step`` and the starting codes hand the helper more
+    work through ``kernels._paired``: half the columns of each large
+    factored solve (``kernels._solve_factored``), the first of two
+    independent products in ``ridge_code`` and the ``ddlic`` sweep, and
+    half the classes of a large sweep group
+    (``intraclass.update_representations``). Work on the helper sees the
+    caller's ``contextvars`` context (``np.errstate`` included) without the
+    helper, so it hands nothing on, and runs one call at a time, so an
+    objective may reuse one scratch buffer. The results are bit-identical
+    to a loop in sequence. The helper lives only inside the call. A child
+    process of ``multiprocessing`` (a pool worker, whose siblings keep the
+    cores busy) and a layer whose ``dictionary @ codes`` takes fewer than
+    2**21 multiply-adds (less than the hand-off costs) get no helper, and
+    each pair runs in sequence here. An objective's exception is raised
+    from this call unchanged, and wins over one its paired step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    values: list[float] = []
     inline = (
         multiprocessing.parent_process() is not None  # a pool worker: its siblings fill the cores
         or inputs.size * init_dict.shape[1] < _HELPER_MIN_WORK
     )
-    with _Inline() if inline else ThreadPoolExecutor(max_workers=1) as helper:
-        token = _SOLVE_HELPER.set(None if inline else (helper, threading.get_ident()))
-        pending = None  # the last iteration's objective, not yet collected
+
+    def step(codes):
+        dictionary = solve_least_squares_dictionary(inputs, codes, policy)
+        return dictionary, code_step(dictionary, codes)
+
+    values: list[float] = []
+    with nullcontext() if inline else ThreadPoolExecutor(max_workers=1) as helper:
+        token = _SOLVE_HELPER.set(helper)
         try:
-            codes = ridge_code(init_dict, inputs, policy)
-            dictionary = init_dict
-            for _ in range(n_iters):
-                dictionary = solve_least_squares_dictionary(inputs, codes, policy)
-                codes = code_step(dictionary, codes)
-                if pending is not None:
-                    values.append(pending.result())
-                pending = helper.submit(
-                    contextvars.copy_context().run, objective, dictionary, codes
+            dictionary, codes = step(ridge_code(init_dict, inputs, policy))
+            for t in range(n_iters):
+                trained = dictionary, codes
+                value, (dictionary, codes) = _paired(
+                    partial(objective, *trained),
+                    (lambda: trained) if t == n_iters - 1 else partial(step, codes),
+                    helper,
                 )
-            values.append(pending.result())
-        except BaseException:
-            if pending is not None:
-                pending.result()  # an earlier objective's failure wins
-            raise
+                values.append(value)
         finally:
             _SOLVE_HELPER.reset(token)
     return dictionary, codes, np.asarray(values)

@@ -1,8 +1,12 @@
 """Dense linear-algebra kernels shared by the layer-wise trainers.
 
-Everything here is a pure function of its inputs plus an explicit seed
-where randomness is involved, so kernels can run concurrently on shared
-read-only matrices. Samples are columns throughout.
+Everything here is a function of its inputs plus an explicit seed where
+randomness is involved, so kernels can run concurrently on shared
+read-only matrices. Samples are columns throughout. The one other input is
+the context variable ``_SOLVE_HELPER``: while ``baseline.alternate_layer``
+sets it to its helper thread's executor, large solves and products hand
+part of their work to that helper through ``_paired``, with bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import importlib.util
 import math
 import os
 import sys
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -119,9 +122,9 @@ def _released_potrs():
 
 _RELEASED_POTRS = _released_potrs()
 
-# While ``baseline.alternate_layer`` runs with a helper thread: (that helper's
-# executor, the thread that owns it). Only the owner hands work to the helper;
-# code running on the helper sees the same value and solves alone.
+# While ``baseline.alternate_layer`` runs with a helper thread: that helper's
+# executor. ``_paired`` runs the helper's call with this unset, so work on the
+# helper never hands work to itself.
 _SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", default=None)
 
 # Below this many multiply-adds (k**2 per right-hand side) a factored solve
@@ -137,29 +140,26 @@ _SPLIT_MIN_WORK = 1 << 20
 _PAIR_MIN_WORK = 1 << 22
 
 
-def _owned_helper():
-    """``alternate_layer``'s helper executor when this thread owns it, else None."""
-    shared = _SOLVE_HELPER.get()
-    return shared[0] if shared is not None and shared[1] == threading.get_ident() else None
-
-
 def _pair_helper(work: int):
     """The helper for a pair whose helper call costs ``work`` multiply-adds, or None."""
-    return _owned_helper() if work >= _PAIR_MIN_WORK else None
+    return _SOLVE_HELPER.get() if work >= _PAIR_MIN_WORK else None
 
 
 def _paired(first: Callable, second: Callable, helper) -> tuple:
     """``(first(), second())`` for two independent calls.
 
-    With a ``helper`` executor, the helper runs ``first`` in this thread's
-    ``contextvars`` context while this thread runs ``second``. ``first`` is
+    With a ``helper`` executor, the helper runs ``first`` in a copy of this
+    thread's ``contextvars`` context (``np.errstate`` included) with
+    ``_SOLVE_HELPER`` unset, while this thread runs ``second``. ``first`` is
     joined before this returns or raises, and its error wins, as in
     sequence. With ``helper=None`` the two calls run in sequence here. Each
     call runs whole and once, so the results are those of calls in sequence.
     """
     if helper is None:
         return first(), second()
-    future = helper.submit(contextvars.copy_context().run, first)
+    context = contextvars.copy_context()
+    context.run(_SOLVE_HELPER.set, None)
+    future = helper.submit(context.run, first)
     try:
         result = second()
     finally:
@@ -217,7 +217,7 @@ def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
 def _split_helper(factor: np.ndarray, rhs: np.ndarray):
     """The helper that may solve half of ``rhs``'s columns against ``factor``, or None.
 
-    That is ``alternate_layer``'s helper when this thread owns it,
+    That is ``alternate_layer``'s helper when one is set here,
     ``_RELEASED_POTRS`` exists, ``factor`` and ``rhs`` are F-contiguous float
     matrices, ``rhs`` has two columns or more and the solve costs at least
     ``_SPLIT_MIN_WORK`` multiply-adds.
@@ -231,7 +231,7 @@ def _split_helper(factor: np.ndarray, rhs: np.ndarray):
         or factor.shape[0] ** 2 * rhs.shape[1] < _SPLIT_MIN_WORK
     ):
         return None
-    return _owned_helper()
+    return _SOLVE_HELPER.get()
 
 
 def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from deepdict.baseline import TrainConfig, train_dense_layer, train_ddl
+from deepdict.baseline import train_dense_layer
 from deepdict.classify import KnnConfig, knn_predict
 from deepdict.data import SplitSpec, make_synthetic_clusters, split_per_class
 from deepdict.harness import (
@@ -38,7 +38,6 @@ from deepdict.kernels import (
     IstaConfig,
     initial_dictionary,
     ista_sparse_code,
-    random_dictionary_init,
     ridge_code,
 )
 

@@ -281,6 +281,11 @@ class TestObjectiveHelper:
         assert want != np.geterr()
         assert seen == [(False, want)] * 3
 
+    def test_one_iteration_runs_its_objective_on_the_helper(self):
+        assert _objectives_on_the_calling_thread(1) == [False]
+        inputs, init = _helper_instance()
+        assert _same(train_dense_layer(inputs, init, 1), _reference_dense_layer(inputs, init, 1))
+
     def test_a_pool_worker_computes_objectives_inline(self):
         assert _objectives_on_the_calling_thread(3) == [False] * 3
         spawn = multiprocessing.get_context("spawn")
@@ -441,10 +446,11 @@ print(paired, not any(on_helper), split,
 def _helper_seen_by_factors():
     """Whether the layer loop's helper was set at each factorization of a
     layer large enough for pairs (300 x 300 inputs, 120 atoms)."""
-    seen, factor = [], kernels._ridged_factor
+    seen, factor, caller = [], kernels._ridged_factor, threading.get_ident()
 
     def recording(*args):
-        seen.append(kernels._SOLVE_HELPER.get() is not None)
+        # work on the helper thread runs with no helper set, inside the loop all the same
+        seen.append(kernels._SOLVE_HELPER.get() is not None or threading.get_ident() != caller)
         return factor(*args)
 
     kernels._ridged_factor = recording

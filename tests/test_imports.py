@@ -1,4 +1,5 @@
-"""Every import in the package source is used, or marked as a deliberate re-export."""
+"""Every import in the package source and the tests is used, or marked as a
+deliberate re-export."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import pytest
 import deepdict
 
 SOURCES = sorted(pathlib.Path(deepdict.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -48,7 +50,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

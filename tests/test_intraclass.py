@@ -449,7 +449,7 @@ class TestClosedFormUpdates:
 
 
 def _swept_as_owner(monkeypatch, sweep_args):
-    """``update_representations(*sweep_args)`` on the thread that owns a helper,
+    """``update_representations(*sweep_args)`` with a helper thread set,
     with every pair and every group large enough to hand work over, and the
     ``_sweep_classes`` calls as (positions, start, stop, on this thread)."""
     monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
@@ -462,7 +462,7 @@ def _swept_as_owner(monkeypatch, sweep_args):
 
     monkeypatch.setattr(intraclass, "_sweep_classes", recording)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        token = kernels._SOLVE_HELPER.set((helper, me))
+        token = kernels._SOLVE_HELPER.set(helper)
         try:
             got = update_representations(*sweep_args)
         finally:

@@ -1,6 +1,5 @@
 """Gram solves, dictionary initialization, and the sparse coding loop."""
 
-import contextvars
 import math
 import re
 import threading
@@ -192,9 +191,9 @@ def _recording_halves(monkeypatch):
 
 
 def _solved_with_helper(factor, rhs):
-    """``_solve_factored`` on a copy of ``rhs``, as the owner of a helper thread."""
+    """``_solve_factored`` on a copy of ``rhs``, with a helper thread set."""
     with ThreadPoolExecutor(max_workers=1) as helper:
-        token = kernels._SOLVE_HELPER.set((helper, threading.get_ident()))
+        token = kernels._SOLVE_HELPER.set(helper)
         try:
             return kernels._solve_factored(factor, None, rhs.copy(order="F"))
         finally:
@@ -244,21 +243,19 @@ class TestSplitSolve:
                 future.set_result(fn(*args))
                 return future
 
-        token = kernels._SOLVE_HELPER.set((Recording(), threading.get_ident()))
+        recording = Recording()
+        token = kernels._SOLVE_HELPER.set(recording)
         try:
-            # code on the helper sees the owner's value, and a one-thread helper
-            # that waited on itself would never finish
-            results = []
-            other = threading.Thread(target=contextvars.copy_context().run, args=(
-                lambda: results.append(kernels._solve_factored(factor, None, rhs.copy(order="F"))),
-            ))
-            other.start()
-            other.join(timeout=60)
-            assert not other.is_alive()
-            assert handed == [] and calls == []
-            assert np.array_equal(results[0], whole)
+            # work on the helper hands nothing on: a one-thread helper that
+            # waited on itself would never finish
+            on_helper, _ = kernels._paired(
+                lambda: kernels._solve_factored(factor, None, rhs.copy(order="F")),
+                lambda: None, recording,
+            )
+            assert handed == [threading.get_ident()] and calls == []  # the pair's own
+            assert np.array_equal(on_helper, whole)
             owner = kernels._solve_factored(factor, None, rhs.copy(order="F"))
-            assert handed == [threading.get_ident()] and len(calls) == 2
+            assert handed == [threading.get_ident()] * 2 and len(calls) == 2
             assert np.array_equal(owner, whole)
         finally:
             kernels._SOLVE_HELPER.reset(token)
@@ -311,8 +308,8 @@ class SecondFailed(Exception):
 
 
 def _as_owner(helper, fn):
-    """``fn()`` with ``helper`` set as the layer loop's helper, owned by this thread."""
-    token = kernels._SOLVE_HELPER.set((helper, threading.get_ident()))
+    """``fn()`` with ``helper`` set as the layer loop's helper."""
+    token = kernels._SOLVE_HELPER.set(helper)
     try:
         return fn()
     finally:
@@ -372,11 +369,18 @@ class TestPairs:
             gate = kernels._PAIR_MIN_WORK
             assert _as_owner(helper, lambda: kernels._pair_helper(gate)) is helper
             assert _as_owner(helper, lambda: kernels._pair_helper(gate - 1)) is None
-            # code on the helper sees the owner's value; it must not wait on itself
-            on_helper = _as_owner(helper, lambda: helper.submit(
-                contextvars.copy_context().run, kernels._pair_helper, 1 << 40,
-            ).result(timeout=60))
+            # work on the helper must not wait on itself
+            on_helper, _ = _as_owner(helper, lambda: kernels._paired(
+                lambda: kernels._pair_helper(1 << 40), lambda: None, helper,
+            ))
             assert on_helper is None
+
+    def test_the_helpers_call_sees_no_helper(self):
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            seen = _as_owner(helper, lambda: kernels._paired(
+                kernels._SOLVE_HELPER.get, kernels._SOLVE_HELPER.get, helper,
+            ))
+        assert seen == (None, helper)
 
     def test_a_busy_helper_is_waited_for(self):
         seen, first, second = self._threads()
