@@ -120,16 +120,15 @@ def alternate_layer(
     iteration t+1's refresh and code step form one ``kernels._paired``
     pair: a helper thread runs the objective while this thread trains on;
     the last objective pairs with a step that returns the trained pair.
-    The refresh, ``code_step`` and the starting codes hand the helper more
-    work through ``kernels._paired``: half the columns of each large
-    factored solve (``kernels._solve_factored``), the first of two
-    independent products in ``ridge_code`` and the ``ddlic`` sweep, and
-    half the classes of a large sweep group
-    (``intraclass.update_representations``). Work on the helper sees the
-    caller's ``contextvars`` context (``np.errstate`` included) without the
-    helper, so it hands nothing on, and runs one call at a time, so an
-    objective may reuse one scratch buffer. The results are bit-identical
-    to a loop in sequence. The helper lives only inside the call. A child
+    ``code_step`` and the starting codes hand the helper more work through
+    ``kernels._paired``: the first of two large independent products in
+    ``ridge_code`` and the ``ddlic`` sweep. Every product and solve runs
+    whole on one thread, so no result depends on whether a helper exists.
+    Work on the helper sees the caller's ``contextvars`` context
+    (``np.errstate`` included) without the helper, so it hands nothing on,
+    and runs one call at a time, so an objective may reuse one scratch
+    buffer. The results are bit-identical to a loop in sequence. The helper
+    lives only inside the call. A child
     process of ``multiprocessing`` (a pool worker, whose siblings keep the
     cores busy) and a layer whose ``dictionary @ codes`` takes fewer than
     2**21 multiply-adds (less than the hand-off costs) get no helper, and

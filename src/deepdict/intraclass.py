@@ -22,15 +22,12 @@ from .kernels import (
     DEFAULT_RIDGE,
     RidgePolicy,
     _check_stack_settings,
-    _check_potrs,
     _check_trained_stack,
     _pair_helper,
     _paired,
     _require_finite,
     _ridged_factor,
-    _solve_columns,
     _solve_factored,
-    _split_helper,
     solve_least_squares_dictionary,
 )
 # Not called here: bench/bench_trace.py wraps ridge_code in every module
@@ -93,12 +90,29 @@ class DdlicModel:
         return self.layer_reprs[-1]
 
 
-def _class_groups(class_index, n_columns: int) -> list[np.ndarray]:
+class _ClassGroups(list):
+    """A ``class_index`` already checked and grouped by ``_class_groups``.
+
+    Passed back as ``class_index``, it is used as it is (for its own number
+    of columns only), so ``train_layer`` groups its classes once, not per
+    step.
+    """
+
+    def __init__(self, groups: list[np.ndarray], n_columns: int) -> None:
+        super().__init__(groups)
+        self.n_columns = n_columns
+
+
+def _class_groups(class_index, n_columns: int) -> _ClassGroups:
     """Check that ``class_index`` partitions the columns; group it by class size.
 
     Returns one ``(classes, size)`` array per distinct nonzero class size,
     whose rows are the member columns of each class of that size in order.
     """
+    if isinstance(class_index, _ClassGroups):
+        if class_index.n_columns != n_columns:
+            raise ValueError("class_index must partition the code columns")
+        return class_index
     by_size: dict[int, list] = {}
     for ix in class_index:
         by_size.setdefault(len(ix), []).append(ix)
@@ -106,7 +120,7 @@ def _class_groups(class_index, n_columns: int) -> list[np.ndarray]:
     covered = np.sort(np.concatenate(groups, axis=None)) if groups else np.empty(0, int)
     if covered.size != n_columns or (covered != np.arange(n_columns)).any():
         raise ValueError("class_index must partition the code columns")
-    return groups
+    return _ClassGroups(groups, n_columns)
 
 
 def compactness_penalty(codes: np.ndarray, class_index) -> float:
@@ -202,23 +216,19 @@ def update_representations(
     ``(D^T D + 2*alpha*(n-1) I) z_j = c_j + 2*alpha*(S_j + R_j)`` with
     ``c_j = D^T x_j``, ``S_j`` the sum of the class's already updated
     columns before ``j`` and ``R_j`` the sum of its old columns after ``j``.
-    Classes do not interact, so all classes of one size share one factor
-    (with ``gram_solver``'s ridge and pseudo-inverse fallback), and the
-    sweep solves position ``j`` of every such class in one call, in place.
-    The inputs are checked once on entry and the result once on exit, so
-    an overflow raises ``ValueError``.
+    Classes do not interact, so all classes of one size share one
+    ``gram_solver`` system (its ridge, its explicit inverse when well
+    conditioned, its factor below that, its pseudo-inverse fallback), and
+    the sweep solves position ``j`` of every such class in one call. The
+    inputs are checked once on entry and the result once on exit, so an
+    overflow raises ``ValueError``.
     Without coupling (``alpha == 0``, or singleton classes) there is one
     position, so a group's columns take one solve together.
 
     Inside ``baseline.alternate_layer``, when ``D^T D`` costs at least
     ``kernels._PAIR_MIN_WORK`` multiply-adds, the helper forms it while this
-    thread forms ``X^T D`` (``kernels._paired``). A group whose position
-    solves ``kernels._split_helper`` would split sweeps by class instead
-    (``kernels._paired`` again): the helper sweeps every position of the
-    second half of the group's classes while this thread sweeps the first
-    half, joined before this returns or raises (the helper's error first).
-    A pseudo-inverse group sweeps whole. The result is bit-identical either
-    way.
+    thread forms ``X^T D`` (``kernels._paired``); the result is
+    bit-identical.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -242,7 +252,7 @@ def update_representations(
         groups = [np.concatenate(groups, axis=None)[:, None]]
     for cols in groups:
         n_c = cols.shape[1]
-        factor, pseudo = _ridged_factor(gram, policy, 2.0 * alpha * (n_c - 1))
+        factor, inverse = _ridged_factor(gram, policy, 2.0 * alpha * (n_c - 1))
         by_position = cols.T  # row j: column j of every class in the group
         rhs = corr[by_position]  # (n_c, classes, atoms)
         # R_{n_c-2} .. R_0: a running sum of the old columns from the last position back
@@ -251,43 +261,18 @@ def update_representations(
             after[i] += after[i - 1]
         after *= 2.0 * alpha
         rhs[:-1] += after[::-1]
-        helper = None if factor is None else _split_helper(factor, rhs[0].T)
-        if helper is None:
-            _sweep_classes(rhs, alpha, 0, len(cols), factor, pseudo)
-        else:
-            half = len(cols) // 2
-            _paired(lambda: _sweep_classes(rhs, alpha, half, len(cols), factor, None),
-                    lambda: _sweep_classes(rhs, alpha, 0, half, factor, None), helper)
+        before = np.zeros_like(rhs[0])  # S_j
+        scaled = np.empty_like(before)
+        for position in rhs:
+            position += np.multiply(before, 2.0 * alpha, out=scaled)
+            column_major = position.T  # F-contiguous: a factored solve overwrites it
+            solved = _solve_factored(factor, inverse, column_major)
+            if solved is not column_major:
+                position[...] = solved.T
+            before += position
         out[by_position] = rhs
     _require_finite(out, "updated codes")
     return np.ascontiguousarray(out.T)
-
-
-def _sweep_classes(rhs: np.ndarray, alpha: float, start: int, stop: int, factor, pseudo) -> None:
-    """Sweep positions ``0..n_c-1`` of classes ``start:stop`` of one size group, in place.
-
-    ``rhs`` (positions, classes, atoms) holds each column's right-hand side
-    without ``S_j``; on return it holds the updated columns. Classes do not
-    interact, so a range of classes sweeps alone. A whole group
-    (``start:stop`` covering every class) solves each position with
-    ``_solve_factored``; a part solves its columns in place through
-    ``kernels._solve_columns`` (``pseudo`` is then None), so two parts may
-    run at once on two threads with the same result as the whole.
-    """
-    whole = stop - start == rhs.shape[1]
-    before = np.zeros_like(rhs[0, start:stop])  # S_j
-    scaled = np.empty_like(before)
-    for j in range(rhs.shape[0]):
-        part = rhs[j, start:stop]
-        part += np.multiply(before, 2.0 * alpha, out=scaled)
-        column_major = rhs[j].T  # F-contiguous: a factored solve overwrites it
-        if whole:
-            solved = _solve_factored(factor, pseudo, column_major)
-            if solved is not column_major:
-                part[...] = solved.T
-        else:
-            _check_potrs(_solve_columns(factor, column_major, start, stop))
-        before += part
 
 
 def train_layer(
@@ -303,12 +288,14 @@ def train_layer(
 
     Runs ``baseline.alternate_layer`` with one full code sweep as the code
     step, so the returned trace holds the layer objective after each of the
-    ``n_iters`` iterations and is non-increasing.
+    ``n_iters`` iterations and is non-increasing. The classes are checked
+    and grouped once, and the sweeps and objectives reuse that grouping.
     """
     if init_dict.shape != (inputs.shape[0], n_atoms):
         raise ValueError(
             f"init_dict must have shape ({inputs.shape[0]}, {n_atoms}), got {init_dict.shape}"
         )
+    class_index = _class_groups(class_index, inputs.shape[1])
     resid = np.empty(inputs.shape)
     return alternate_layer(
         inputs, init_dict, n_iters,

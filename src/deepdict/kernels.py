@@ -4,9 +4,9 @@ Everything here is a function of its inputs plus an explicit seed where
 randomness is involved, so kernels can run concurrently on shared
 read-only matrices. Samples are columns throughout. The one other input is
 the context variable ``_SOLVE_HELPER``: while ``baseline.alternate_layer``
-sets it to its helper thread's executor, large solves and products hand
-part of their work to that helper through ``_paired``, with bit-identical
-results.
+sets it to its helper thread's executor, a pair of large independent
+products hands one of them to that helper through ``_paired``, with
+bit-identical results. Every product runs whole on one thread.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextvars
 import copy
 import ctypes
+import functools
 import glob
 import importlib.machinery
 import importlib.util
@@ -103,35 +104,10 @@ def _openblas_libraries(package) -> list[ctypes.CDLL]:
     return [ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))]
 
 
-def _released_potrs():
-    """``dpotrs`` of SciPy's OpenBLAS called through ``ctypes``, or ``None``.
-
-    It is the routine ``_POTRS`` wraps, but the call releases the interpreter
-    lock, which the f2py wrapper holds, so two threads can solve at once.
-    """
-    for lib in _openblas_libraries(scipy):
-        potrs = getattr(lib, "scipy_dpotrs_", None)
-        if potrs is not None:
-            c_int = ctypes.POINTER(ctypes.c_int)
-            potrs.restype = None  # uplo, n, nrhs, a, lda, b, ldb, info, len(uplo)
-            potrs.argtypes = [ctypes.c_char_p, c_int, c_int, ctypes.c_void_p, c_int,
-                              ctypes.c_void_p, c_int, c_int, ctypes.c_size_t]
-            return potrs
-    return None
-
-
-_RELEASED_POTRS = _released_potrs()
-
 # While ``baseline.alternate_layer`` runs with a helper thread: that helper's
 # executor. ``_paired`` runs the helper's call with this unset, so work on the
 # helper never hands work to itself.
 _SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", default=None)
-
-# Below this many multiply-adds (k**2 per right-hand side) a factored solve
-# costs less than handing half of it to the helper and back. On a 2-core x86-64
-# VM with one BLAS thread, a 200 x 10 solve took 63 us whole and 85 us split;
-# 400 x 10 took 221 and 201 us, and 400 x 784 15.6 and 6.7 ms.
-_SPLIT_MIN_WORK = 1 << 20
 
 # Below this many multiply-adds in the helper's call, a pair of independent
 # products runs in sequence (``_pair_helper``). On a 2-core x86-64 VM with one
@@ -167,31 +143,63 @@ def _paired(first: Callable, second: Callable, helper) -> tuple:
     return head, result
 
 
-def _solve_columns(factor: np.ndarray, rhs: np.ndarray, start: int, stop: int) -> int:
-    """Solve columns ``start:stop`` of F-contiguous ``rhs`` in place; return LAPACK's info."""
-    k = factor.shape[0]
-    n, nrhs, info = ctypes.c_int(k), ctypes.c_int(stop - start), ctypes.c_int(0)
-    _RELEASED_POTRS(
-        b"U", n, nrhs, factor.ctypes.data, n,
-        rhs.ctypes.data + start * k * rhs.itemsize, n, info, 1,
-    )
-    return info.value
-
-
 def _require_finite(array: np.ndarray, name: str) -> None:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must not contain infs or NaNs")
 
 
+@functools.lru_cache(maxsize=16)
+def _strict_lower(k: int) -> np.ndarray:
+    """The read-only mask of a ``k x k`` matrix's entries below the diagonal."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _spd_inverse(matrix: np.ndarray, rcond_floor: float, overwrite: bool = False):
+    """Cholesky-factor the symmetric ``matrix`` and invert it when that is accurate.
+
+    Returns ``(None, inverse)``, the symmetrized ``dpotri`` inverse, when
+    LAPACK's ``dpocon`` estimates the reciprocal condition number at
+    ``rcond_floor`` or above; ``(factor, None)``, the upper Cholesky
+    factor, when the matrix factors below that floor; and ``(None, None)``
+    when it does not factor. ``overwrite`` lets the factorization take
+    over an F-contiguous float ``matrix``.
+    """
+    norm = float(np.abs(matrix).sum(axis=0).max())  # the 1-norm, before potrf overwrites it
+    factor, info = _POTRF(matrix, lower=0, clean=0, overwrite_a=overwrite)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    if info > 0:
+        return None, None
+    rcond, info = _POCON(factor, norm)
+    if info != 0 or not rcond >= rcond_floor:
+        return factor, None
+    inverse, _ = _POTRI(factor, lower=0, overwrite_c=1)  # fills the upper triangle
+    np.copyto(inverse, inverse.T, where=_strict_lower(inverse.shape[0]))
+    return None, inverse
+
+
+# At or above this estimate of 1/cond, a ridged Gram system is applied as one
+# product with its explicit inverse, accurate to about cond * machine epsilon
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14).
+# On a 2-core x86-64 VM with one BLAS thread, that product took 0.2-0.4 times
+# as long as the triangular solves (``dpotrs``) at 24 to 400 atoms, though
+# forming the inverse costs about four times the factorization alone.
+_RIDGED_RCOND = 1e-6
+
+
 def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
     """``gram_solver``'s factorization of ``gram + shift * I``, in one private copy.
 
-    Returns ``(factor, None)``, the upper Cholesky factor of
-    ``gram + (shift + eps) * I`` with ``eps`` the policy's ridge on that
-    matrix's mean diagonal, or ``(None, pinv(gram + shift * I))`` when that
-    factorization fails. A non-finite diagonal raises ``ValueError``; in a
-    Gram matrix no entry is larger than the largest diagonal entry, so a
-    caller that forms one from checked inputs needs no full check.
+    Returns ``(None, inverse)`` of ``gram + (shift + eps) * I``, with
+    ``eps`` the policy's ridge on that matrix's mean diagonal, when
+    ``_spd_inverse`` finds it well conditioned (``_RIDGED_RCOND``); else
+    ``(factor, None)``, its upper Cholesky factor; or
+    ``(None, pinv(gram + shift * I))`` when that factorization fails. A
+    non-finite diagonal raises ``ValueError``; in a Gram matrix no entry is
+    larger than the largest diagonal entry, so a caller that forms one from
+    checked inputs needs no full check.
     """
     k = gram.shape[0]
     ridged = np.array(gram, dtype=float, order="F")
@@ -201,11 +209,9 @@ def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
     if not math.isfinite(trace):
         raise ValueError("gram must not contain infs or NaNs")
     diagonal += policy.epsilon_scale * (trace / k if k else 0.0)
-    factor, info = _POTRF(ridged, lower=0, clean=0, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    if info == 0:
-        return factor, None
+    factor, inverse = _spd_inverse(ridged, _RIDGED_RCOND, overwrite=True)
+    if factor is not None or inverse is not None:
+        return factor, inverse
     try:
         return None, np.linalg.pinv(gram + shift * np.eye(k) if shift else gram)
     except np.linalg.LinAlgError as exc:
@@ -214,62 +220,29 @@ def _ridged_factor(gram: np.ndarray, policy: RidgePolicy, shift: float = 0.0):
         ) from exc
 
 
-def _split_helper(factor: np.ndarray, rhs: np.ndarray):
-    """The helper that may solve half of ``rhs``'s columns against ``factor``, or None.
-
-    That is ``alternate_layer``'s helper when one is set here,
-    ``_RELEASED_POTRS`` exists, ``factor`` and ``rhs`` are F-contiguous float
-    matrices, ``rhs`` has two columns or more and the solve costs at least
-    ``_SPLIT_MIN_WORK`` multiply-adds.
-    """
-    if (
-        _RELEASED_POTRS is None
-        or rhs.ndim != 2
-        or rhs.shape[1] < 2
-        or rhs.dtype != np.float64
-        or not (rhs.flags.f_contiguous and factor.flags.f_contiguous)
-        or factor.shape[0] ** 2 * rhs.shape[1] < _SPLIT_MIN_WORK
-    ):
-        return None
-    return _SOLVE_HELPER.get()
-
-
-def _solve_factored(factor, pseudo, rhs: np.ndarray) -> np.ndarray:
+def _solve_factored(factor, inverse, rhs: np.ndarray) -> np.ndarray:
     """Solve with a ``_ridged_factor`` result, unchecked.
 
-    A factored solve overwrites an F-contiguous float ``rhs`` and returns
-    it; the pseudo-inverse path returns a new array.
-
-    When ``_split_helper`` names a helper, the solve is split by columns
-    (``_paired``): the helper solves the second half while this thread
-    solves the first, both in place through ``_RELEASED_POTRS``. Each column
-    is solved by the same LAPACK call either way, so the result is
-    bit-identical to a whole solve. A nonzero status from either half
-    raises, the helper's when both fail.
+    With an inverse (well conditioned, or the pseudo-inverse) the solution
+    is the new array ``inverse @ rhs``. A factored solve overwrites an
+    F-contiguous float ``rhs`` and returns it.
     """
     if factor is None:
-        return pseudo @ rhs
-    helper = _split_helper(factor, rhs)
-    if helper is None:
-        solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
-        _check_potrs(status)
-        return solution
-    n = rhs.shape[1]
-    _paired(lambda: _check_potrs(_solve_columns(factor, rhs, n // 2, n)),
-            lambda: _check_potrs(_solve_columns(factor, rhs, 0, n // 2)), helper)
-    return rhs
-
-
-def _check_potrs(status: int) -> None:
+        return inverse @ rhs
+    solution, status = _POTRS(factor, rhs, lower=0, overwrite_b=1)
     if status != 0:
         raise ValueError(f"illegal value in argument {-status} of potrs")
+    return solution
 
 
 def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callable[[np.ndarray], np.ndarray]:
     """Return a solver for ``(gram + eps*I) x = rhs``.
 
     Symmetric positive-definite (Cholesky) factorization of the ridged Gram
-    matrix is the primary path; on factorization failure the solver falls
+    matrix is the primary path. When LAPACK's ``dpocon`` estimates its
+    reciprocal condition number at ``1e-6`` or above, the solver applies
+    the explicit inverse from that factor as one product; below, it solves
+    with the factor (``dpotrs``). On factorization failure the solver falls
     back to the pseudo-inverse of the raw Gram matrix. The returned callable
     accepts a vector or a matrix right-hand side and can be reused across
     many solves against the same Gram matrix. Non-finite entries in the Gram
@@ -279,13 +252,13 @@ def gram_solver(gram: np.ndarray, policy: RidgePolicy = DEFAULT_RIDGE) -> Callab
     if gram.shape != (k, k):
         raise ValueError("gram must be square")
     _require_finite(gram, "gram")
-    factor, pseudo = _ridged_factor(gram, policy)
+    factor, inverse = _ridged_factor(gram, policy)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         _require_finite(rhs, "right-hand side")
         if factor is not None:
             rhs = np.array(rhs, dtype=float, order="F")  # solved in place, so a private copy
-        return _solve_factored(factor, pseudo, rhs)
+        return _solve_factored(factor, inverse, rhs)
 
     return solve
 
@@ -300,11 +273,8 @@ def solve_least_squares_dictionary(
     Minimizes the squared Frobenius reconstruction error over the dictionary
     with the codes held fixed, via the normal equations on the code Gram
     matrix, solved as ``gram_solver`` solves them. Non-finite inputs or
-    codes, or a dictionary that overflows, raise ``ValueError``.
-
-    The products and the factor are formed on this thread. Inside
-    ``baseline.alternate_layer`` a large solve is split by columns
-    (``_solve_factored``); the result is bit-identical.
+    codes, or a dictionary that overflows, raise ``ValueError``. The
+    products, the factor and the solve all run on this thread.
     """
     if inputs.ndim != 2 or codes.ndim != 2:
         raise ValueError("inputs and codes must be 2-D matrices")
@@ -316,8 +286,8 @@ def solve_least_squares_dictionary(
         raise ValueError("codes must have at least one row")
     _require_finite(inputs, "inputs")
     _require_finite(codes, "codes")
-    factor, pseudo = _ridged_factor(codes @ codes.T, policy)
-    dictionary = _solve_factored(factor, pseudo, (inputs @ codes.T).T).T
+    factor, inverse = _ridged_factor(codes @ codes.T, policy)
+    dictionary = _solve_factored(factor, inverse, (inputs @ codes.T).T).T
     _require_finite(dictionary, "dictionary")
     return dictionary
 
@@ -332,8 +302,7 @@ def ridge_code(
     Inside ``baseline.alternate_layer``, when ``dictionary.T @ dictionary``
     costs at least ``_PAIR_MIN_WORK`` multiply-adds, the helper forms and
     factors it while this thread forms ``dictionary.T @ inputs``
-    (``_paired``), and a large solve is split by columns
-    (``_solve_factored``); the result is bit-identical.
+    (``_paired``); the result is bit-identical.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
@@ -624,19 +593,6 @@ _ACTIVE_SET_RCOND = 1e-8  # below this estimate of 1/cond(gram) the rounds are s
 _SEGMENT_END = 1e-12  # a segment minimum this close to its end is rounding short of it
 
 
-def _gram_inverse(gram: np.ndarray) -> np.ndarray | None:
-    """``gram``'s inverse from its Cholesky factor, or None when it does not
-    factor or LAPACK's ``dpocon`` estimates it to be ill-conditioned."""
-    factor, info = _POTRF(gram, lower=0, clean=1)
-    if info != 0:
-        return None
-    rcond, info = _POCON(factor, float(np.abs(gram).sum(axis=0).max()))
-    if info != 0 or not rcond >= _ACTIVE_SET_RCOND:
-        return None
-    inverse, _ = _POTRI(factor, lower=0, overwrite_c=1)  # fills the upper triangle
-    return np.triu(inverse) + np.triu(inverse, 1).T
-
-
 def _restricted_solve(lasso: _Lasso, inverse, signs, out, multipliers) -> None:
     """Each column's lasso optimum for a fixed support and signs, into ``out``.
 
@@ -729,12 +685,13 @@ def _active_set(lasso: _Lasso, codes, gram_codes, budget: int, trace) -> int:
     objective is lower, in ``codes`` and ``gram_codes`` in place. Stops
     once no column's support or signs differ, or after ``budget`` rounds.
     Returns the rounds that solved (a last round that finds no change is
-    not one), none when ``_gram_inverse`` finds the Gram matrix unfit.
+    not one), none when ``_spd_inverse`` finds the Gram matrix unfit.
     ``trace``, if a list, gets the kept codes' objective after every round.
     """
-    inverse = _gram_inverse(lasso.gram) if budget > 0 else None
+    inverse = _spd_inverse(lasso.gram, _ACTIVE_SET_RCOND)[1] if budget > 0 else None
     if inverse is None:
         return 0
+    inverse = inverse.T  # the same symmetric matrix in C order, which sets the products' rounding
     best = lasso.objective(codes, gram_codes)
     stepped = np.empty_like(codes)
     pending = np.ones(codes.shape[1], dtype=bool)

@@ -318,13 +318,11 @@ class TestObjectiveHelper:
 
 # Trains both stacks on a paper-scale-shaped first layer (784-dim inputs, 500
 # columns in 10 classes, 400 atoms), with the helper and then with every layer
-# forced inline. Prints the array count, whether any solve was split, and
-# whether every dictionary, code matrix and trace match.
-_SPLIT_MATCHES_INLINE = """
+# forced inline. Prints the array count and whether every dictionary, code
+# matrix and trace match.
+_HELPER_MATCHES_INLINE = """
 import numpy as np
-from deepdict import baseline, kernels
-halves, solve = [], kernels._solve_columns
-kernels._solve_columns = lambda *args: halves.append(args[2]) or solve(*args)
+from deepdict import baseline
 from deepdict.baseline import TrainConfig, train_ddl
 from deepdict.data import LabeledMatrix
 from deepdict.intraclass import DdlicConfig, train_ddlic
@@ -339,63 +337,33 @@ def arrays():
             *ddl.dictionaries, ddl.train_repr, *ddl.traces]
 helper = arrays()
 baseline._HELPER_MIN_WORK = float("inf")
-split = bool(halves)
-halves.clear()
 inline = arrays()
-print(len(helper), split and not halves, all(np.array_equal(a, b) for a, b in zip(helper, inline)))
+print(len(helper), all(np.array_equal(a, b) for a, b in zip(helper, inline)))
 """
 
 
-class TestSplitSolves:
-    """Large factored solves in the layer loop hand half their columns to the helper."""
+def _run_with_blas_threads(script, threads):
+    """Standard output of ``script`` in a fresh interpreter, with the BLAS
+    thread variables set to ``threads``, or unset for None."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baseline.__file__))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
-    def test_both_stacks_match_inline_loops_with_blas_threads_unset(self):
-        if kernels._RELEASED_POTRS is None:
-            pytest.skip("SciPy does not ship its own OpenBLAS")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baseline.__file__))
-        done = subprocess.run([sys.executable, "-c", _SPLIT_MATCHES_INLINE], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout == "11 True True\n"
 
-    def test_the_layer_loop_splits_its_large_solves(self, monkeypatch):
-        shapes, solve = [], kernels._solve_columns
-
-        def recording(factor, rhs, start, stop):
-            shapes.append((factor.shape[0], rhs.shape[1], start, stop))
-            return solve(factor, rhs, start, stop)
-
-        monkeypatch.setattr(kernels, "_solve_columns", recording)
-        inputs, init = _instance(24, d=300, k=120, n=100)
-        assert _same(train_dense_layer(inputs, init, 2), _reference_dense_layer(inputs, init, 2))
-        # starting codes, then per iteration the refresh and the codes, each in two halves
-        assert sorted(set(shapes)) == [(120, 100, 0, 50), (120, 100, 50, 100),
-                                       (120, 300, 0, 150), (120, 300, 150, 300)]
-        assert len(shapes) == 2 * (1 + 2 * 2)
-
-    def test_no_thread_outlives_a_split_solve(self, monkeypatch):
-        inputs, init = _instance(25, d=300, k=120, n=100)
-        code_step = lambda dictionary, codes: ridge_code(dictionary, inputs)
-        objective = lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0)
-        before = threading.active_count()
-        alternate_layer(inputs, init, 2, code_step, objective)
-        assert threading.active_count() == before
-        solve = kernels._solve_columns
-        monkeypatch.setattr(
-            kernels, "_solve_columns",
-            lambda factor, rhs, start, stop: -6 if start else solve(factor, rhs, start, stop),
-        )
-        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
-            alternate_layer(inputs, init, 2, code_step, objective)
-        assert threading.active_count() == before
+@pytest.mark.parametrize("threads", [None, 1], ids=["blas-threads-unset", "one-blas-thread"])
+def test_both_stacks_match_inline_loops(threads):
+    assert _run_with_blas_threads(_HELPER_MATCHES_INLINE, threads) == "11 True\n"
 
 
 # Trains both stacks' paper-scale-shaped first layers (784-dim inputs, 500
 # columns in 10 classes, 400 atoms) in the layer loop and in serial loops of
 # the public steps, which run outside it. Prints whether a pair's first call
-# ran on the helper, the class ranges each sweep thread took, and whether
-# every dictionary, code matrix and trace match.
+# ran on the helper, whether none did in the serial loops, and whether every
+# dictionary, code matrix and trace match.
 _PAIRS_MATCH_SERIAL = """
 import threading
 import numpy as np
@@ -404,7 +372,7 @@ from deepdict.baseline import train_dense_layer
 from deepdict.intraclass import layer_objective, train_layer, update_representations
 from deepdict.kernels import (initial_dictionary, ridge_code, solve_least_squares_dictionary,
                               sparse_objective)
-main, on_helper, sweeps = threading.get_ident(), [], set()
+main, on_helper = threading.get_ident(), []
 def recording(paired):
     def pair(first, second, helper):
         def first_recorded():
@@ -414,17 +382,12 @@ def recording(paired):
     return pair
 kernels._paired = recording(kernels._paired)
 intraclass._paired = recording(intraclass._paired)
-sweep = intraclass._sweep_classes
-def sweep_recorded(rhs, alpha, start, stop, factor, pseudo):
-    sweeps.add((start, stop, threading.get_ident() == main))
-    return sweep(rhs, alpha, start, stop, factor, pseudo)
-intraclass._sweep_classes = sweep_recorded
 rng = np.random.default_rng(27)
 x = rng.normal(size=(784, 500)) + 10.0 * rng.normal(size=(784, 10)).repeat(50, axis=1)
 init = initial_dictionary(x, 400, 1, "qr", 0)
 classes = [np.arange(c * 50, (c + 1) * 50) for c in range(10)]
 looped = [*train_dense_layer(x, init, 2), *train_layer(x, 1e-4, 400, 2, classes, init)]
-paired, split = any(on_helper), sorted(sweeps)
+paired = any(on_helper)
 on_helper.clear()
 serial = []
 for step, objective in (
@@ -438,8 +401,7 @@ for step, objective in (
         codes = step(dictionary, codes)
         trace.append(objective(dictionary, codes))
     serial += [dictionary, codes, np.asarray(trace)]
-print(paired, not any(on_helper), split,
-      all(np.array_equal(a, b) for a, b in zip(looped, serial)))
+print(paired, not any(on_helper), all(np.array_equal(a, b) for a, b in zip(looped, serial)))
 """
 
 
@@ -462,18 +424,11 @@ def _helper_seen_by_factors():
 
 
 class TestPairedProducts:
-    """Independent products and sweep classes run on the layer loop's two threads."""
+    """Independent products run on the layer loop's two threads."""
 
-    def test_both_stacks_match_serial_loops_with_blas_threads_unset(self):
-        if kernels._RELEASED_POTRS is None:
-            pytest.skip("SciPy does not ship its own OpenBLAS")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baseline.__file__))
-        done = subprocess.run([sys.executable, "-c", _PAIRS_MATCH_SERIAL], env=env,
-                              capture_output=True, text=True, check=True)
-        # the sweep's one size group: classes 0-4 on this thread, 5-9 on the helper
-        assert done.stdout == "True True [(0, 5, True), (5, 10, False)] True\n"
+    @pytest.mark.parametrize("threads", [None, 1], ids=["blas-threads-unset", "one-blas-thread"])
+    def test_both_stacks_match_serial_loops(self, threads):
+        assert _run_with_blas_threads(_PAIRS_MATCH_SERIAL, threads) == "True True True\n"
 
     def test_no_thread_or_helper_outlives_a_pair(self, monkeypatch):
         inputs, init = _instance(29, d=300, k=120, n=300)

@@ -132,7 +132,7 @@ def test_active_set_routines_import_no_scipy_linalg_or_sparse():
         "import deepdict, deepdict.cli\n"
         "from deepdict import kernels\n"
         "d = np.random.default_rng(0).normal(size=(12, 4))\n"
-        "print(kernels._gram_inverse(d.T @ d) is not None)\n"
+        "print(kernels._spd_inverse(d.T @ d, kernels._ACTIVE_SET_RCOND)[1] is not None)\n"
         "kernels.ista_sparse_code(d, d @ np.ones((4, 3)), 0.1)\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
     )

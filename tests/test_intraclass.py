@@ -1,8 +1,6 @@
 """Label-aware trainer: penalty, gradients, closed-form updates, full stack."""
 
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepdict import intraclass, kernels
+from deepdict import intraclass
 from deepdict.data import make_synthetic_clusters
 from deepdict.intraclass import (
     DdlicConfig,
@@ -77,7 +75,7 @@ def _batched_sweep(dictionary, inputs, codes, alpha, class_index, policy=DEFAULT
     """Reference: the sweep batched by class size through ``gram_solver``.
 
     One ``gram_solver`` per class size, the sums of later columns from an
-    axis-0 ``cumsum``, and one checked ``potrs`` call per position.
+    axis-0 ``cumsum``, and one solver call per position.
     """
     by_size = {}
     for ix in class_index:
@@ -448,85 +446,6 @@ class TestClosedFormUpdates:
             assert spread < 0.05
 
 
-def _swept_as_owner(monkeypatch, sweep_args):
-    """``update_representations(*sweep_args)`` with a helper thread set,
-    with every pair and every group large enough to hand work over, and the
-    ``_sweep_classes`` calls as (positions, start, stop, on this thread)."""
-    monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
-    monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
-    calls, sweep, me = [], intraclass._sweep_classes, threading.get_ident()
-
-    def recording(rhs, alpha, start, stop, factor, pseudo):
-        calls.append((rhs.shape[0], start, stop, threading.get_ident() == me))
-        sweep(rhs, alpha, start, stop, factor, pseudo)
-
-    monkeypatch.setattr(intraclass, "_sweep_classes", recording)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        token = kernels._SOLVE_HELPER.set(helper)
-        try:
-            got = update_representations(*sweep_args)
-        finally:
-            kernels._SOLVE_HELPER.reset(token)
-    return got, sorted(calls)
-
-
-class TestClassSplitSweep:
-    """A large size group sweeps half its classes on the layer loop's helper."""
-
-    @pytest.mark.parametrize("alpha", [1e-4, 0.3])
-    @pytest.mark.parametrize("counts, want", [
-        # seven classes of 3: one group, split 3 | 4
-        ((3,) * 7, [(3, 0, 3, True), (3, 3, 7, False)]),
-        # three sizes, each with an odd number of classes
-        ((4, 2, 4, 2, 4, 5, 2, 2, 2),
-         [(2, 0, 2, True), (2, 2, 5, False), (4, 0, 1, True), (4, 1, 3, False), (5, 0, 1, True)]),
-    ])
-    def test_split_is_bit_identical_to_the_whole_sweep(self, monkeypatch, alpha, counts, want):
-        inputs, dictionary, codes, class_index = _instance(30, d=12, k=7, counts=counts)
-        args = (dictionary, inputs, codes, alpha, class_index)
-        whole = update_representations(*args)
-        got, calls = _swept_as_owner(monkeypatch, args)
-        assert np.array_equal(got, whole)
-        assert calls == want
-
-    def test_one_class_and_the_merged_zero_weight_group(self, monkeypatch):
-        inputs, dictionary, codes, class_index = _instance(31, d=12, k=7, counts=(9,))
-        args = (dictionary, inputs, codes, 0.2, class_index)
-        got, calls = _swept_as_owner(monkeypatch, args)
-        assert np.array_equal(got, update_representations(*args))
-        assert calls == [(9, 0, 1, True)]  # one class sweeps whole
-        monkeypatch.undo()
-        # alpha == 0: every column in one position of one merged group, split by column
-        inputs, dictionary, codes, class_index = _instance(32, d=12, k=7, counts=(4, 3, 4))
-        args = (dictionary, inputs, codes, 0.0, class_index)
-        got, calls = _swept_as_owner(monkeypatch, args)
-        assert np.array_equal(got, update_representations(*args))
-        assert calls == [(1, 0, 5, True), (1, 5, 11, False)]
-
-    def test_a_pseudo_inverse_group_sweeps_whole(self, monkeypatch):
-        # singleton classes have no shift, so a dead atom without a ridge
-        # leaves their group to the pseudo-inverse; the size-3 group factors
-        inputs, dictionary, codes, class_index = _instance(33, d=12, k=7, counts=(1, 3, 1, 3, 1))
-        dictionary[:, 2] = 0.0
-        args = (dictionary, inputs, codes, 0.1, class_index, RidgePolicy(epsilon_scale=0.0))
-        got, calls = _swept_as_owner(monkeypatch, args)
-        assert np.array_equal(got, update_representations(*args))
-        assert calls == [(1, 0, 3, True), (3, 0, 1, True), (3, 1, 2, False)]
-
-    def test_a_failed_half_raises_after_both_halves_finish(self, monkeypatch):
-        inputs, dictionary, codes, class_index = _instance(34, d=12, k=7, counts=(3,) * 4)
-        finished, solve = [], intraclass._solve_columns
-
-        def helper_half_fails(factor, rhs, start, stop):
-            finished.append(start)
-            return -6 if start else solve(factor, rhs, start, stop)
-
-        monkeypatch.setattr(intraclass, "_solve_columns", helper_half_fails)
-        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
-            _swept_as_owner(monkeypatch, (dictionary, inputs, codes, 0.1, class_index))
-        assert sorted(finished) == [0, 0, 0, 2]  # the helper's half stops at its first position
-
-
 class TestLayerTraining:
     def test_objective_trace_never_increases(self):
         for seed in range(6):
@@ -567,6 +486,27 @@ class TestLayerTraining:
             train_layer(
                 np.zeros((5, 6)), 0.1, 3, 2, _class_index((3, 3)), np.zeros((5, 4))
             )
+
+    def test_classes_are_grouped_once_per_layer(self, monkeypatch):
+        grouped, group = [], intraclass._class_groups
+
+        def recording(class_index, n_columns):
+            groups = group(class_index, n_columns)
+            grouped.append(groups is not class_index)
+            return groups
+
+        monkeypatch.setattr(intraclass, "_class_groups", recording)
+        inputs, _, _, class_index = _instance(40, d=8, counts=(4, 1, 5, 3))
+        train_layer(inputs, 0.05, 5, 3, class_index, random_dictionary_init(8, 5, seed=1))
+        # the layer's own grouping, then three sweeps and three objectives reuse it
+        assert grouped == [True] + [False] * 6
+
+    def test_a_grouping_for_other_columns_is_rejected(self):
+        groups = intraclass._class_groups(_class_index((4, 3)), 7)
+        assert intraclass._class_groups(groups, 7) is groups
+        for n_columns in (6, 8):
+            with pytest.raises(ValueError, match="partition"):
+                intraclass._class_groups(groups, n_columns)
 
 
 class TestFullStack:

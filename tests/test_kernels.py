@@ -5,16 +5,17 @@ import re
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from deepdict import kernels
-from deepdict.baseline import TrainConfig
+from deepdict.baseline import TrainConfig, train_ddl
+from deepdict.data import make_synthetic_clusters
 from deepdict.harness import ExperimentConfig
-from deepdict.intraclass import DdlicConfig
+from deepdict.intraclass import DdlicConfig, train_ddlic
 from deepdict.kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
@@ -126,16 +127,43 @@ class TestGramSolver:
         got = solve(np.ones(3))
         assert np.allclose(got, np.ones(3) / 1.5)
 
-    def test_bit_identical_to_scipy_cholesky(self):
+    @staticmethod
+    def _ridged(gram):
+        k = gram.shape[0]
+        return gram + DEFAULT_RIDGE.epsilon_scale * (float(np.trace(gram)) / k) * np.eye(k)
+
+    def test_well_conditioned_gram_applies_its_explicit_inverse(self):
         rng = RNG(17)
         for k in (1, 5, 12):
             a = rng.normal(size=(k, 3 * k))
             gram = a @ a.T
-            eps = DEFAULT_RIDGE.epsilon_scale * float(np.trace(gram)) / k
-            factor = scipy.linalg.cho_factor(gram + eps * np.eye(k))
+            ridged = self._ridged(gram)
+            upper, info = scipy.linalg.lapack.dpotrf(ridged)
+            assert info == 0
+            inverse, info = scipy.linalg.lapack.dpotri(upper)
+            assert info == 0
+            # LAPACK fills the upper triangle; the product takes its Fortran order
+            inverse = np.asfortranarray(np.triu(inverse) + np.triu(inverse, 1).T)
+            factor = scipy.linalg.cho_factor(ridged)
             solve = gram_solver(gram)
             for rhs in (rng.normal(size=k), rng.normal(size=(k, 4))):
-                assert np.array_equal(solve(rhs), scipy.linalg.cho_solve(factor, rhs))
+                got = solve(rhs)
+                assert np.array_equal(got, inverse @ rhs)
+                want = scipy.linalg.cho_solve(factor, rhs)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_ill_conditioned_gram_solves_with_its_factor(self):
+        rng = RNG(19)
+        for k in (2, 5, 12):
+            a = rng.normal(size=(k, 3 * k))
+            a[0] *= 1e-4  # an eigenvalue about 1e-8 of the others: 1/cond below 1e-6
+            gram = a @ a.T
+            factor, inverse = kernels._ridged_factor(gram, DEFAULT_RIDGE)
+            assert factor is not None and inverse is None
+            want = scipy.linalg.cho_factor(self._ridged(gram))
+            solve = gram_solver(gram)
+            for rhs in (rng.normal(size=k), rng.normal(size=(k, 4))):
+                assert np.array_equal(solve(rhs), scipy.linalg.cho_solve(want, rhs))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
@@ -169,134 +197,32 @@ class TestGramSolver:
         assert np.array_equal(gram_solver(np.zeros((3, 3)))(np.ones(3)), np.zeros(3))
 
 
-def _factored_case(seed, k, columns):
-    """A ridged Cholesky factor of a k x k Gram matrix and an F-contiguous right-hand side."""
-    rng = RNG(seed)
-    a = rng.normal(size=(k, 3 * k))
-    factor, pseudo = kernels._ridged_factor(a @ a.T, DEFAULT_RIDGE)
-    assert pseudo is None
-    return factor, np.asfortranarray(rng.normal(size=(k, columns)))
+# The benchmark's three workloads: classes, training columns per class, input
+# dimension, class separation and layer sizes.
+BENCHMARK_SHAPES = {
+    "paper-scale": (10, 50, 784, 10.0, (400, 200, 100)),
+    "many-class": (40, 30, 64, 6.0, (48, 32, 24)),
+    "grid-parallel": (10, 30, 200, 6.0, (128, 96, 64)),
+}
 
 
-def _recording_halves(monkeypatch):
-    """Record each ``_solve_columns`` call as (start, stop, on the calling thread)."""
-    calls, solve, caller = [], kernels._solve_columns, threading.get_ident()
-
-    def recording(factor, rhs, start, stop):
-        calls.append((start, stop, threading.get_ident() == caller))
-        return solve(factor, rhs, start, stop)
-
-    monkeypatch.setattr(kernels, "_solve_columns", recording)
-    return calls
-
-
-def _solved_with_helper(factor, rhs):
-    """``_solve_factored`` on a copy of ``rhs``, with a helper thread set."""
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        token = kernels._SOLVE_HELPER.set(helper)
-        try:
-            return kernels._solve_factored(factor, None, rhs.copy(order="F"))
-        finally:
-            kernels._SOLVE_HELPER.reset(token)
-
-
-class TestSplitSolve:
-    """A large factored solve hands half its columns to the layer loop's helper."""
-
-    @pytest.mark.parametrize(
-        "k, columns",
-        [(400, 784), (400, 500), (400, 10), (100, 200), (48, 1200),
-         (400, 7), (100, 201), (48, 1199), (7, 13), (5, 2)],
-    )
-    def test_split_is_bit_identical_to_a_whole_solve(self, monkeypatch, k, columns):
-        monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
-        factor, rhs = _factored_case(k + columns, k, columns)
-        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
-        calls = _recording_halves(monkeypatch)
-        split = _solved_with_helper(factor, rhs)
-        assert np.array_equal(split, whole)
-        half = columns // 2
-        assert sorted(calls) == [(0, half, True), (half, columns, False)]
-
-    def test_split_only_from_the_size_threshold(self, monkeypatch):
-        calls = _recording_halves(monkeypatch)
-        for k, columns in [(200, 10), (128, 10), (400, 1)]:
-            assert k * k * columns < kernels._SPLIT_MIN_WORK
-            _solved_with_helper(*_factored_case(k, k, columns))
-        assert calls == []
-        _solved_with_helper(*_factored_case(4, 400, 7))
-        assert len(calls) == 2
-
-    def test_no_split_without_a_helper_or_off_the_owning_thread(self, monkeypatch):
-        factor, rhs = _factored_case(3, 400, 10)
-        calls = _recording_halves(monkeypatch)
-        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
-        assert calls == []
-        handed = []
-
-        class Recording:
-            """Stands in for the helper: records each hand-off and runs it at once."""
-
-            def submit(self, fn, *args):
-                handed.append(threading.get_ident())
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        recording = Recording()
-        token = kernels._SOLVE_HELPER.set(recording)
-        try:
-            # work on the helper hands nothing on: a one-thread helper that
-            # waited on itself would never finish
-            on_helper, _ = kernels._paired(
-                lambda: kernels._solve_factored(factor, None, rhs.copy(order="F")),
-                lambda: None, recording,
-            )
-            assert handed == [threading.get_ident()] and calls == []  # the pair's own
-            assert np.array_equal(on_helper, whole)
-            owner = kernels._solve_factored(factor, None, rhs.copy(order="F"))
-            assert handed == [threading.get_ident()] * 2 and len(calls) == 2
-            assert np.array_equal(owner, whole)
-        finally:
-            kernels._SOLVE_HELPER.reset(token)
-
-    def test_a_missing_symbol_solves_whole(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_openblas_libraries", lambda package: [])
-        assert kernels._released_potrs() is None
-        factor, rhs = _factored_case(5, 400, 784)
-        whole = kernels._solve_factored(factor, None, rhs.copy(order="F"))
-        calls = _recording_halves(monkeypatch)
-        monkeypatch.setattr(kernels, "_RELEASED_POTRS", None)
-        assert np.array_equal(_solved_with_helper(factor, rhs), whole)
-        assert calls == []
-
-    def test_released_potrs_is_scipys_dpotrs(self):
-        if kernels._RELEASED_POTRS is None:
-            pytest.skip("SciPy does not ship its own OpenBLAS")
-        factor, rhs = _factored_case(6, 12, 5)
-        want, info = kernels._POTRS(factor, rhs)
-        got = rhs.copy(order="F")
-        assert info == 0 and kernels._solve_columns(factor, got, 0, 5) == 0
-        assert np.array_equal(got, want)
-
-    def test_a_failed_half_raises_after_both_halves_finish(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_SPLIT_MIN_WORK", 0)
-        factor, rhs = _factored_case(7, 40, 9)
-        finished = []
-
-        def helper_half_fails(factor, rhs, start, stop):
-            finished.append(start)
-            return -6 if start else 0
-
-        monkeypatch.setattr(kernels, "_solve_columns", helper_half_fails)
-        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
-            _solved_with_helper(factor, rhs)
-        assert sorted(finished) == [0, 4]
-        # when both halves fail, the helper's (second) half's error wins
-        monkeypatch.setattr(kernels, "_solve_columns",
-                            lambda factor, rhs, start, stop: -6 if start else -5)
-        with pytest.raises(ValueError, match="illegal value in argument 6 of potrs"):
-            _solved_with_helper(factor, rhs)
+@pytest.mark.parametrize("workload", BENCHMARK_SHAPES)
+def test_benchmark_shapes_apply_explicit_inverses(monkeypatch, workload):
+    """Every Gram system both stacks solve at a benchmark shape, at the
+    serial workloads' weight 1e-4, is well conditioned enough for its
+    explicit inverse: no triangular solve runs. (The grid's larger weights
+    do reach systems below the floor, which keep their factored solve.)"""
+    classes, per_class, dim, separation, sizes = BENCHMARK_SHAPES[workload]
+    train = make_synthetic_clusters(classes, per_class, dim, separation, seed=1)
+    solves, potrs = [], kernels._POTRS
+    monkeypatch.setattr(kernels, "_POTRS", lambda *args, **kwargs: (
+        solves.append(args[0].shape) or potrs(*args, **kwargs)))
+    train_ddlic(train, DdlicConfig(layer_sizes=sizes, alphas=(1e-4,) * 3, iters_per_layer=2))
+    train_ddl(train.features, TrainConfig(layer_sizes=sizes, iters_per_layer=2))
+    assert solves == []
+    kernels._solve_factored(*kernels._ridged_factor(np.diag([1.0, 1e-9]), DEFAULT_RIDGE),
+                            np.ones((2, 1), order="F"))
+    assert solves == [(2, 2)]  # the recorder sees a factored solve
 
 
 class FirstFailed(Exception):
