@@ -446,6 +446,43 @@ class TestClosedFormUpdates:
             assert spread < 0.05
 
 
+class TestGroupedClasses:
+    """A grouping made once by ``_class_groups`` stands in for its class index."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4, 0.3])
+    @pytest.mark.parametrize("counts", [(3,) * 7, (4, 2, 4, 2, 4, 5, 2, 2, 2), (9,), (1, 3, 1, 3, 1)])
+    def test_sweep_and_objective_take_a_grouping_bit_identically(self, alpha, counts):
+        inputs, dictionary, codes, class_index = _instance(30, d=12, k=7, counts=counts)
+        order = RNG(31).permutation(inputs.shape[1])
+        class_index = tuple(order[idx] for idx in class_index)
+        groups = intraclass._class_groups(class_index, inputs.shape[1])
+        args = (dictionary, inputs, codes, alpha)
+        assert np.array_equal(
+            update_representations(*args, groups), update_representations(*args, class_index)
+        )
+        assert (layer_objective(inputs, dictionary, codes, alpha, groups)
+                == layer_objective(inputs, dictionary, codes, alpha, class_index))
+        assert compactness_penalty(codes, groups) == compactness_penalty(codes, class_index)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    def test_one_sweep_mixes_inverse_and_factored_groups(self, monkeypatch, alpha):
+        # a near-dead atom leaves the unshifted singleton group below the
+        # explicit-inverse floor; the coupling shift lifts the size-3 group over it
+        inputs, dictionary, codes, class_index = _instance(35, d=12, k=7, counts=(1, 3, 1, 3, 1))
+        dictionary[:, 2] *= 1e-6
+        applied, solve = [], intraclass._solve_factored
+
+        def recording(factor, inverse, rhs):
+            applied.append(factor is None)
+            return solve(factor, inverse, rhs)
+
+        monkeypatch.setattr(intraclass, "_solve_factored", recording)
+        got = update_representations(dictionary, inputs, codes, alpha, class_index)
+        # the singletons' one position by their factor, the size-3 group's three by its inverse
+        assert applied == [False, True, True, True]
+        assert np.array_equal(got, _batched_sweep(dictionary, inputs, codes, alpha, class_index))
+
+
 class TestLayerTraining:
     def test_objective_trace_never_increases(self):
         for seed in range(6):

@@ -197,6 +197,92 @@ class TestGramSolver:
         assert np.array_equal(gram_solver(np.zeros((3, 3)))(np.ones(3)), np.zeros(3))
 
 
+def _gram_case(seed, k, columns):
+    """The Gram matrix of a k x 3k Gaussian matrix and an F-contiguous k x columns right-hand side."""
+    rng = RNG(seed)
+    a = rng.normal(size=(k, 3 * k))
+    return a @ a.T, np.asfortranarray(rng.normal(size=(k, columns)))
+
+
+class TestExplicitInverse:
+    """``_spd_inverse`` and the ridged systems that apply its inverse as one product."""
+
+    @pytest.mark.parametrize(
+        "k, columns",
+        [(400, 784), (400, 500), (400, 10), (100, 200), (48, 1200),
+         (400, 7), (100, 201), (48, 1199), (7, 13), (5, 2)],
+    )
+    def test_product_is_within_1e_10_of_a_factored_solve(self, k, columns):
+        gram, rhs = _gram_case(k + columns, k, columns)
+        factor, inverse = kernels._ridged_factor(gram, DEFAULT_RIDGE)
+        assert factor is None and inverse.shape == (k, k)
+        kept = rhs.copy(order="F")
+        got = kernels._solve_factored(factor, inverse, rhs)
+        assert np.array_equal(rhs, kept)  # the product leaves its right-hand side as it was
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(TestGramSolver._ridged(gram)), kept)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_inverse_is_exactly_symmetric(self):
+        for k in (1, 6, 40):
+            gram, _ = _gram_case(k, k, 1)
+            factor, inverse = kernels._spd_inverse(gram, kernels._RIDGED_RCOND)
+            assert factor is None
+            assert np.array_equal(inverse, inverse.T)
+            assert np.abs(inverse @ gram - np.eye(k)).max() <= 1e-10
+
+    def test_the_floor_is_inclusive(self):
+        gram, _ = _gram_case(3, 12, 1)
+        upper, info = scipy.linalg.lapack.dpotrf(gram)
+        assert info == 0
+        rcond, info = scipy.linalg.lapack.dpocon(upper, np.abs(gram).sum(axis=0).max())
+        assert info == 0
+        assert kernels._spd_inverse(gram, rcond)[1] is not None
+        factor, inverse = kernels._spd_inverse(gram, np.nextafter(rcond, 1.0))
+        assert inverse is None
+        assert np.array_equal(np.triu(factor), upper)  # the lower triangle is left unclean
+
+    def test_each_floor_is_its_callers_own(self):
+        # 1/cond = 1e-7: over the active set's floor, under the ridged systems'
+        matrix = np.diag([1.0, 1e-7])
+        assert kernels._spd_inverse(matrix, kernels._ACTIVE_SET_RCOND)[1] is not None
+        factor, inverse = kernels._spd_inverse(matrix, kernels._RIDGED_RCOND)
+        assert factor is not None and inverse is None
+
+    def test_a_matrix_that_does_not_factor_gives_neither(self):
+        for matrix in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+            assert kernels._spd_inverse(matrix, 0.0) == (None, None)
+
+    def test_the_matrix_is_kept_unless_overwrite_is_asked(self):
+        gram, _ = _gram_case(4, 9, 1)
+        matrix = np.asfortranarray(gram)
+        _, want = kernels._spd_inverse(matrix, kernels._RIDGED_RCOND)
+        assert np.array_equal(matrix, gram)
+        _, got = kernels._spd_inverse(matrix, kernels._RIDGED_RCOND, overwrite=True)
+        assert not np.array_equal(matrix, gram)  # the factorization took it over
+        assert np.array_equal(got, want)
+
+    def test_the_shift_is_added_before_the_ridge(self):
+        gram, _ = _gram_case(5, 8, 1)
+        shift, policy = 0.7, RidgePolicy(epsilon_scale=1e-3)  # a ridge large enough to tell
+        shifted = gram + shift * np.eye(8)
+        factor, inverse = kernels._ridged_factor(gram, policy, shift)
+        assert factor is None
+        # the ridge scales with the shifted diagonal's mean
+        ridged = shifted + 1e-3 * (np.trace(shifted) / 8) * np.eye(8)
+        assert np.abs(inverse @ ridged - np.eye(8)).max() <= 1e-12
+        _, unshifted = kernels._ridged_factor(shifted, policy)
+        assert np.abs(inverse - unshifted).max() <= 1e-12 * np.abs(unshifted).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_diagonal_raises(self, bad):
+        gram = np.eye(3)
+        gram[1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            kernels._ridged_factor(gram, DEFAULT_RIDGE)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            kernels._ridged_factor(np.eye(3), DEFAULT_RIDGE, bad)
+
+
 # The benchmark's three workloads: classes, training columns per class, input
 # dimension, class separation and layer sizes.
 BENCHMARK_SHAPES = {
