@@ -11,10 +11,7 @@ loop (``train_stack``) defined here train the label-aware stack too.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -28,6 +25,7 @@ from .kernels import (
     _SOLVE_HELPER,
     _check_stack_settings,
     _check_trained_stack,
+    _helper_thread,
     _paired,
     initial_dictionary,
     ista_sparse_code,
@@ -94,11 +92,6 @@ class DdlModel:
         return self.config.l1_weight
 
 
-# Below this many multiply-adds in ``dictionary @ codes`` an objective costs
-# less than handing it to a thread and back (0.1-0.7 ms on a 2-core VM).
-_HELPER_MIN_WORK = 1 << 21
-
-
 def alternate_layer(
     inputs: np.ndarray,
     init_dict: np.ndarray,
@@ -128,28 +121,25 @@ def alternate_layer(
     (``np.errstate`` included) without the helper, so it hands nothing on,
     and runs one call at a time, so an objective may reuse one scratch
     buffer. The results are bit-identical to a loop in sequence. The helper
-    lives only inside the call. A child
-    process of ``multiprocessing`` (a pool worker, whose siblings keep the
-    cores busy) and a layer whose ``dictionary @ codes`` takes fewer than
-    2**21 multiply-adds (less than the hand-off costs) get no helper, and
-    each pair runs in sequence here. An objective's exception is raised
-    from this call unchanged, and wins over one its paired step raised.
+    comes from ``kernels._helper_thread`` and lives only inside the call. A
+    child process of ``multiprocessing`` (a pool worker, whose siblings keep
+    the cores busy) and a layer whose ``dictionary @ codes`` takes fewer than
+    ``kernels._HELPER_MIN_WORK`` multiply-adds (less than the hand-off costs)
+    get no helper, and each pair runs in sequence here. An objective's
+    exception is raised from this call unchanged, and wins over one its
+    paired step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    inline = (
-        multiprocessing.parent_process() is not None  # a pool worker: its siblings fill the cores
-        or inputs.size * init_dict.shape[1] < _HELPER_MIN_WORK
-    )
 
     def step(codes):
         dictionary = solve_least_squares_dictionary(inputs, codes, policy)
         return dictionary, code_step(dictionary, codes)
 
     values: list[float] = []
-    with nullcontext() if inline else ThreadPoolExecutor(max_workers=1) as helper:
+    with _helper_thread(inputs.size * init_dict.shape[1]) as helper:
         token = _SOLVE_HELPER.set(helper)
         try:
             dictionary, codes = step(ridge_code(init_dict, inputs, policy))

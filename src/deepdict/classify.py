@@ -8,13 +8,14 @@ inputs are identical.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import DEFAULT_RIDGE, RidgePolicy, ridge_code
+from .kernels import DEFAULT_RIDGE, RidgePolicy, _helper_thread, _paired, ridge_code
 
 if TYPE_CHECKING:
     from .intraclass import DdlicModel
@@ -113,24 +114,30 @@ _BLOCK_BYTES = 1 << 20
 
 def _distance_blocks(
     train_codes: np.ndarray, query_codes: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> tuple[range, Callable[[int], np.ndarray]]:
     """Euclidean distances from query columns to training columns, a block of rows at a time.
 
-    Yields ``(lo, dist)``: row ``j`` of the C-ordered ``dist`` holds query
-    column ``lo + j``'s distances to every training column. Entry ``[j, i]``
-    is ``sqrt(max((|a_i|^2 + |b|^2) - 2 * (A^T B)[i, lo + j], 0))``, from one
-    product ``A^T B`` of the training codes ``A`` and the query codes ``B``.
+    Returns the blocks' first query columns and ``block(lo)``, whose row ``j``
+    (C-ordered) holds query column ``lo + j``'s distances to every training
+    column. Entry ``[j, i]`` is
+    ``sqrt(max((|a_i|^2 + |b|^2) - 2 * (A^T B)[i, lo + j], 0))``, from one
+    product ``A^T B`` of the training codes ``A`` and the query codes ``B``,
+    formed here. Each block is elementwise in that product and writes only
+    its own rows, so blocks may be formed in any order, on any thread.
     """
     train_sq = np.sum(train_codes * train_codes, axis=0)
     query_sq = np.sum(query_codes * query_codes, axis=0)
     cross = train_codes.T @ query_codes
     cross *= 2.0
     step = max(1, _BLOCK_BYTES // (8 * train_codes.shape[1]))
-    for lo in range(0, query_codes.shape[1], step):
+
+    def block(lo: int) -> np.ndarray:
         dist = np.add.outer(query_sq[lo : lo + step], train_sq)
         dist -= cross[:, lo : lo + step].T
         np.maximum(dist, 0.0, out=dist)
-        yield lo, np.sqrt(dist, out=dist)
+        return np.sqrt(dist, out=dist)
+
+    return range(0, query_codes.shape[1], step), block
 
 
 def _check_knn_inputs(train_codes: np.ndarray, train_labels, test_codes: np.ndarray) -> np.ndarray:
@@ -217,16 +224,29 @@ def _sweep_votes(
     Only each query's ``max(ks)`` nearest columns and their distances
     outlive a block of distance rows. With ``leave_one_out`` the queries
     are the training codes themselves and each column's own distance is
-    masked.
+    masked. A helper thread (``kernels._helper_thread``, gated on its
+    blocks' share of the ``A^T B`` product) ranks the later half of the
+    blocks while this thread ranks the rest; each block writes only its own
+    rows, so the result is that of ranking them in sequence.
     """
     k = max(ks)
     cols = np.empty((query_codes.shape[1], k), dtype=np.intp)
     near = np.empty(cols.shape)
-    for lo, dist in _distance_blocks(train_codes, query_codes):
-        rows = np.arange(lo, lo + dist.shape[0])
-        if leave_one_out:
-            dist[rows - lo, rows] = np.inf
-        cols[rows], near[rows] = _rank_rows(dist, k)
+    starts, block = _distance_blocks(train_codes, query_codes)
+
+    def rank(starts: range) -> None:
+        for lo in starts:
+            dist = block(lo)
+            rows = np.arange(lo, lo + dist.shape[0])
+            if leave_one_out:
+                dist[rows - lo, rows] = np.inf
+            cols[rows], near[rows] = _rank_rows(dist, k)
+
+    half = (len(starts) + 1) // 2
+    theirs = starts[half:]
+    helper_rows = query_codes.shape[1] - theirs.start if theirs else 0
+    with _helper_thread(train_codes.size * helper_rows) as helper:
+        _paired(partial(rank, theirs), partial(rank, starts[:half]), helper)
     classes, class_ids = np.unique(train_labels, return_inverse=True)
     return classes[_running_votes(class_ids[cols], near, classes.size, ks)]
 

@@ -6,7 +6,9 @@ read-only matrices. Samples are columns throughout. The one other input is
 the context variable ``_SOLVE_HELPER``: while ``baseline.alternate_layer``
 sets it to its helper thread's executor, a pair of large independent
 products hands one of them to that helper through ``_paired``, with
-bit-identical results. Every product runs whole on one thread.
+bit-identical results. Every product runs whole on one thread. That helper,
+and the one that ranks half of ``classify``'s query blocks, come from one
+gate, ``_helper_thread``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ import glob
 import importlib.machinery
 import importlib.util
 import math
+import multiprocessing
 import os
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +107,28 @@ def _openblas_libraries(package) -> list[ctypes.CDLL]:
     """
     libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
     return [ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))]
+
+
+# Below this many multiply-adds in a helper's share of the work, that work
+# costs less than handing it to a thread and back (0.1-0.7 ms on a 2-core VM),
+# and ``_helper_thread`` gives no helper.
+_HELPER_MIN_WORK = 1 << 21
+
+
+@contextmanager
+def _helper_thread(work: int):
+    """A one-thread executor for the length of the block, or None to run inline.
+
+    ``work`` is the multiply-adds of the helper's share. A child process of
+    ``multiprocessing`` (a pool worker, whose siblings keep the cores busy)
+    and work below ``_HELPER_MIN_WORK`` get None. The thread is joined on
+    leaving the block, so none outlives it.
+    """
+    if multiprocessing.parent_process() is not None or work < _HELPER_MIN_WORK:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield helper
 
 
 # While ``baseline.alternate_layer`` runs with a helper thread: that helper's
@@ -336,8 +363,10 @@ def qr_orthonormal_init(data: np.ndarray, n_atoms: int, seed: int = 0) -> np.nda
         raise ValueError(
             f"cannot build {n_atoms} orthonormal columns in {k0}-dimensional space"
         )
-    basis, _ = np.linalg.qr(data)
-    svals = np.linalg.svd(data, compute_uv=False)
+    basis, r = np.linalg.qr(data)
+    # ``data = basis @ r`` with orthonormal ``basis``: ``r`` has the data's
+    # singular values, at a fraction of the data's SVD cost when k0 > n
+    svals = np.linalg.svd(r, compute_uv=False)
     tol = max(k0, n) * np.finfo(float).eps * (float(svals[0]) if svals.size else 0.0)
     rank = int(np.count_nonzero(svals > tol))
     if rank >= n_atoms:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -37,3 +38,12 @@ def _save_text_model(model, out_dir) -> None:
 def save_text_model():
     """The text-format model writer of earlier versions, kept as a test oracle."""
     return _save_text_model
+
+
+@pytest.fixture()
+def no_thread_outlives_the_test():
+    """Fail the test when more threads run after it than before it."""
+    before = threading.active_count()
+    yield
+    after = threading.active_count()
+    assert after <= before, f"{after - before} thread(s) outlived the test"

@@ -45,6 +45,8 @@ from deepdict.kernels import (
 
 RNG = np.random.default_rng
 
+pytestmark = pytest.mark.usefixtures("no_thread_outlives_the_test")
+
 
 def _reference_dense_layer(inputs, init_dict, n_iters, policy=DEFAULT_RIDGE):
     """Reference: the dense layer's own alternating loop."""
@@ -322,7 +324,7 @@ class TestObjectiveHelper:
 # matrix and trace match.
 _HELPER_MATCHES_INLINE = """
 import numpy as np
-from deepdict import baseline
+from deepdict import kernels
 from deepdict.baseline import TrainConfig, train_ddl
 from deepdict.data import LabeledMatrix
 from deepdict.intraclass import DdlicConfig, train_ddlic
@@ -336,7 +338,7 @@ def arrays():
     return [*ic.dictionaries, *ic.layer_reprs, *ic.traces,
             *ddl.dictionaries, ddl.train_repr, *ddl.traces]
 helper = arrays()
-baseline._HELPER_MIN_WORK = float("inf")
+kernels._HELPER_MIN_WORK = float("inf")
 inline = arrays()
 print(len(helper), all(np.array_equal(a, b) for a, b in zip(helper, inline)))
 """

@@ -1,14 +1,17 @@
 """Nearest-neighbor prediction, tie rules, accuracy sweeps, test-side coding."""
 
+import multiprocessing
+import threading
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepdict import classify
+from deepdict import classify, kernels
 from deepdict.classify import (
     KnnConfig,
     _distance_blocks,
@@ -18,11 +21,14 @@ from deepdict.classify import (
     evaluate_accuracy,
     knn_predict,
 )
-from deepdict.data import make_synthetic_clusters
+from deepdict.data import SplitSpec, make_synthetic_clusters, split_per_class
+from deepdict.harness import per_layer_accuracy
 from deepdict.intraclass import DdlicConfig, train_ddlic
 from deepdict.kernels import ridge_code
 
 RNG = np.random.default_rng
+
+pytestmark = pytest.mark.usefixtures("no_thread_outlives_the_test")
 
 
 def oracle_predict(train_codes, train_labels, test_codes, k):
@@ -424,11 +430,11 @@ class TestTestMajorLayout:
         dim, n_train, n_test = shape
         rng = RNG(31)
         train, test = rng.normal(size=(dim, n_train)), rng.normal(size=(dim, n_test))
-        blocks = list(_distance_blocks(train, test))
-        step = blocks[0][1].shape[0]
-        assert [lo for lo, _ in blocks] == list(range(0, n_test, step))
-        assert all(d.shape[1] == n_train and d.flags.c_contiguous for _, d in blocks)
-        got = np.concatenate([d for _, d in blocks])
+        starts, block = _distance_blocks(train, test)
+        blocks = [block(lo) for lo in reversed(starts)][::-1]  # any order gives the same rows
+        assert starts == range(0, n_test, blocks[0].shape[0])
+        assert all(d.shape[1] == n_train and d.flags.c_contiguous for d in blocks)
+        got = np.concatenate(blocks)
         assert np.array_equal(got, _train_major_distances(train, test).T)
 
     @pytest.mark.parametrize("selection", ["best", "cv"])
@@ -460,6 +466,16 @@ def _tie_heavy_case(seed, n_train, n_test, n_classes=5):
     labels = rng.integers(0, n_classes, size=n_train) * 3 - 1
     targets = rng.integers(0, n_classes, size=n_test) * 3 - 1
     return train, labels, test, targets
+
+
+def _duplicate_columns_case(seed):
+    """Each of 7 points three times, under different labels: every column's
+    twins tie with it, and leave-one-out may mask only its own distance."""
+    rng = RNG(seed)
+    base = rng.integers(-1, 2, size=(2, 7)).astype(float)
+    train = np.concatenate([base, base, base], axis=1)
+    labels = rng.integers(0, 3, size=train.shape[1])
+    return train, labels, base[:, :5] + 0.5, labels[:5]
 
 
 class TestNeighborBlocks:
@@ -496,14 +512,8 @@ class TestNeighborBlocks:
 
     @pytest.mark.parametrize("block", [1, 4, 7])
     def test_leave_one_out_with_duplicate_training_columns(self, monkeypatch, block):
-        # each point three times, under different labels: every column's
-        # twins tie with it, and only its own distance may be masked
-        rng = RNG(80 + block)
-        base = rng.integers(-1, 2, size=(2, 7)).astype(float)
-        train = np.concatenate([base, base, base], axis=1)
-        labels = rng.integers(0, 3, size=train.shape[1])
+        train, labels, test, targets = _duplicate_columns_case(80 + block)
         _set_block_rows(monkeypatch, train.shape[1], block)
-        test, targets = base[:, :5] + 0.5, labels[:5]
         cfg = KnnConfig(1, 9, "cv")
         rep = evaluate_accuracy(train, labels, test, targets, cfg)
         accuracies, selected = _train_major_accuracy(train, labels, test, targets, cfg)
@@ -523,6 +533,130 @@ class TestNeighborBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 8
+
+
+def _recording_ranks(ranked_on):
+    """``classify._rank_rows``, adding the id of each thread that calls it to ``ranked_on``."""
+    rank = classify._rank_rows
+
+    def recording(dist, k):
+        ranked_on.add(threading.get_ident())
+        return rank(dist, k)
+
+    return recording
+
+
+def _helper_and_inline(monkeypatch, run):
+    """``run()`` with the helper gate forced open, then shut, and whether a
+    helper thread ranked any distance block in the first run."""
+    ranked_on = set()
+    monkeypatch.setattr(classify, "_rank_rows", _recording_ranks(ranked_on))
+    monkeypatch.setattr(kernels, "_HELPER_MIN_WORK", 0)
+    helper = run()
+    split = ranked_on != {threading.get_ident()}
+    ranked_on.clear()
+    monkeypatch.setattr(kernels, "_HELPER_MIN_WORK", float("inf"))
+    inline = run()
+    assert ranked_on == {threading.get_ident()}
+    return helper, inline, split
+
+
+def _same_report(a, b):
+    return (a.ks, a.selected_k, a.selected_accuracy) == (b.ks, b.selected_k, b.selected_accuracy) \
+        and np.array_equal(a.accuracies, b.accuracies)
+
+
+class RankFailed(Exception):
+    pass
+
+
+def _rank_threads():
+    """How many threads ranked distance blocks in one ``best`` evaluation of
+    600 test against 1200 training codes of dimension 24 (eleven blocks)."""
+    rng = RNG(95)
+    train, test = rng.normal(size=(24, 1200)), rng.normal(size=(24, 600))
+    labels, targets = rng.integers(0, 40, size=1200), rng.integers(0, 40, size=600)
+    rank, ranked_on = classify._rank_rows, set()
+    classify._rank_rows = _recording_ranks(ranked_on)
+    try:
+        evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 30, "best"))
+    finally:
+        classify._rank_rows = rank
+    return len(ranked_on)
+
+
+class TestHelperRanksBlocks:
+    """Half of the query blocks are ranked on a helper thread, with the inline results."""
+
+    BLOCK = 8
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    @pytest.mark.parametrize(
+        "n_test", [1, BLOCK, 3 * BLOCK - 1, 3 * BLOCK, 3 * BLOCK + 1], ids=lambda n: f"{n}q")
+    def test_evaluation_at_block_edges(self, monkeypatch, n_test, selection):
+        n_train = 3 * self.BLOCK + 1  # leave-one-out queries span four blocks
+        _set_block_rows(monkeypatch, n_train, self.BLOCK)
+        train, labels, test, targets = _tie_heavy_case(100 + n_test, n_train, n_test)
+        cfg = KnnConfig(1, 12, selection)
+        helper, inline, split = _helper_and_inline(
+            monkeypatch, lambda: evaluate_accuracy(train, labels, test, targets, cfg))
+        assert _same_report(helper, inline)
+        # a single block of test queries leaves the helper nothing to rank
+        assert split == (n_test > self.BLOCK or selection == "cv")
+
+    @pytest.mark.parametrize("n_test", [1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_prediction_at_block_edges(self, monkeypatch, n_test):
+        n_train = 2 * self.BLOCK + 3
+        _set_block_rows(monkeypatch, n_train, self.BLOCK)
+        train, labels, test, _ = _tie_heavy_case(110 + n_test, n_train, n_test)
+        helper, inline, split = _helper_and_inline(
+            monkeypatch, lambda: [knn_predict(train, labels, test, k) for k in (1, 5, 12)])
+        assert all(np.array_equal(a, b) for a, b in zip(helper, inline))
+        assert split == (n_test > self.BLOCK)
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_leave_one_out_with_duplicate_training_columns(self, monkeypatch, block):
+        train, labels, test, targets = _duplicate_columns_case(120 + block)
+        _set_block_rows(monkeypatch, train.shape[1], block)
+        helper, inline, split = _helper_and_inline(
+            monkeypatch,
+            lambda: evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 9, "cv")))
+        assert _same_report(helper, inline) and split
+
+    @pytest.mark.parametrize("selection", ["best", "cv"])
+    def test_per_layer_accuracy(self, monkeypatch, selection):
+        data = make_synthetic_clusters(4, 30, 12, 4.0, seed=12)
+        train, test = split_per_class(data, SplitSpec(15, seed=1, replicate_index=1))
+        cfg = DdlicConfig(depth=3, layer_sizes=(10, 8, 6), alphas=(0.01,) * 3,
+                          iters_per_layer=3)
+        model = train_ddlic(train, cfg)
+        _set_block_rows(monkeypatch, train.num_samples, 7)
+        helper, inline, split = _helper_and_inline(
+            monkeypatch,
+            lambda: per_layer_accuracy(model, train, test, KnnConfig(1, 20, selection)))
+        assert helper == inline and len(helper) == 3 and split
+
+    def test_a_helper_block_failure_reaches_the_caller_unchanged(self, monkeypatch):
+        train, labels, test, targets = _tie_heavy_case(130, 40, 30)
+        _set_block_rows(monkeypatch, 40, 4)
+        monkeypatch.setattr(kernels, "_HELPER_MIN_WORK", 0)
+        error, rank, caller = RankFailed("ranking failed"), classify._rank_rows, threading.get_ident()
+
+        def failing(dist, k):
+            if threading.get_ident() != caller:
+                raise error
+            return rank(dist, k)
+
+        monkeypatch.setattr(classify, "_rank_rows", failing)
+        with pytest.raises(RankFailed) as caught:
+            evaluate_accuracy(train, labels, test, targets, KnnConfig(1, 10))
+        assert caught.value is error
+
+    def test_a_pool_worker_ranks_inline(self):
+        assert _rank_threads() == 2
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            assert pool.submit(_rank_threads).result(timeout=120) == 1
 
 
 def _recount_votes(near_ids, near_dist, n_classes, ks):

@@ -568,6 +568,31 @@ class TestInitialization:
         assert np.array_equal(basis, want)
         assert np.allclose(basis.T @ basis, np.eye(n_atoms), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_qr_init_rank_from_r_matches_the_rank_from_the_data(self, seed):
+        # reference: the rank read from the data's own singular values
+        def rank(matrix, shape):
+            svals = np.linalg.svd(matrix, compute_uv=False)
+            tol = max(shape) * np.finfo(float).eps * (float(svals[0]) if svals.size else 0.0)
+            return int(np.count_nonzero(svals > tol))
+
+        rng = RNG(40 + seed)
+        for k0, n in ((30, 12), (12, 30), (20, 20), (784, 40)):
+            for true_rank in (0, 1, min(k0, n) // 2, min(k0, n) - 1):
+                data = rng.normal(size=(k0, true_rank)) @ rng.normal(size=(true_rank, n))
+                data *= 10.0 ** rng.integers(-3, 4)
+                data[:, rng.choice(n, size=n // 3, replace=False)] = 0.0  # zero columns
+                want = rank(data, data.shape)
+                assert rank(np.linalg.qr(data)[1], data.shape) == want <= true_rank
+                n_atoms = min(k0, want + 2)
+                basis = qr_orthonormal_init(data, n_atoms, seed=seed)
+                assert np.allclose(basis.T @ basis, np.eye(n_atoms), atol=1e-10)
+                # the data's rank many columns come from the data, the rest are seeded padding
+                q = np.linalg.qr(data)[0][:, :want]
+                pad = RNG(seed).standard_normal((k0, n_atoms - want))
+                expect = np.linalg.qr(np.concatenate([q, pad], axis=1))[0]
+                assert np.array_equal(basis, expect)
+
     def test_qr_init_rejects_impossible_width(self):
         with pytest.raises(ValueError, match="orthonormal"):
             qr_orthonormal_init(np.zeros((3, 10)), 4)
