@@ -22,7 +22,6 @@ from .kernels import (
     DEFAULT_RIDGE,
     IstaConfig,
     RidgePolicy,
-    _SOLVE_HELPER,
     _check_stack_settings,
     _check_trained_stack,
     _helper_thread,
@@ -111,23 +110,17 @@ def alternate_layer(
 
     Nothing later waits for an objective, so iteration t's objective and
     iteration t+1's refresh and code step form one ``kernels._paired``
-    pair: a helper thread runs the objective while this thread trains on;
-    the last objective pairs with a step that returns the trained pair.
-    ``code_step`` and the starting codes hand the helper more work through
-    ``kernels._paired``: the first of two large independent products in
+    pair, gated on the objective's ``inputs.size * k`` multiply-adds: the
+    helper runs the objective while this thread trains on; the last
+    objective pairs with a step that returns the trained pair. The helper
+    is published by ``kernels._helper_thread`` for the call (none in a pool
+    worker), so ``code_step`` and the starting codes hand it more work
+    through ``_paired``: the first of two large independent products in
     ``ridge_code`` and the ``ddlic`` sweep. Every product and solve runs
-    whole on one thread, so no result depends on whether a helper exists.
-    Work on the helper sees the caller's ``contextvars`` context
-    (``np.errstate`` included) without the helper, so it hands nothing on,
-    and runs one call at a time, so an objective may reuse one scratch
-    buffer. The results are bit-identical to a loop in sequence. The helper
-    comes from ``kernels._helper_thread`` and lives only inside the call. A
-    child process of ``multiprocessing`` (a pool worker, whose siblings keep
-    the cores busy) and a layer whose ``dictionary @ codes`` takes fewer than
-    ``kernels._HELPER_MIN_WORK`` multiply-adds (less than the hand-off costs)
-    get no helper, and each pair runs in sequence here. An objective's
-    exception is raised from this call unchanged, and wins over one its
-    paired step raised.
+    whole on one thread, and the helper runs one call at a time, so an
+    objective may reuse one scratch buffer and the results are
+    bit-identical to a loop in sequence. An objective's exception is raised
+    from this call unchanged, and wins over one its paired step raised.
     """
     if init_dict.shape[0] != inputs.shape[0]:
         raise ValueError("init_dict rows must match the input dimension")
@@ -139,20 +132,16 @@ def alternate_layer(
         return dictionary, code_step(dictionary, codes)
 
     values: list[float] = []
-    with _helper_thread(inputs.size * init_dict.shape[1]) as helper:
-        token = _SOLVE_HELPER.set(helper)
-        try:
-            dictionary, codes = step(ridge_code(init_dict, inputs, policy))
-            for t in range(n_iters):
-                trained = dictionary, codes
-                value, (dictionary, codes) = _paired(
-                    partial(objective, *trained),
-                    (lambda: trained) if t == n_iters - 1 else partial(step, codes),
-                    helper,
-                )
-                values.append(value)
-        finally:
-            _SOLVE_HELPER.reset(token)
+    with _helper_thread():
+        dictionary, codes = step(ridge_code(init_dict, inputs, policy))
+        for t in range(n_iters):
+            trained = dictionary, codes
+            value, (dictionary, codes) = _paired(
+                partial(objective, *trained),
+                (lambda: trained) if t == n_iters - 1 else partial(step, codes),
+                inputs.size * init_dict.shape[1],
+            )
+            values.append(value)
     return dictionary, codes, np.asarray(values)
 
 

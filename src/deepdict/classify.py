@@ -224,10 +224,11 @@ def _sweep_votes(
     Only each query's ``max(ks)`` nearest columns and their distances
     outlive a block of distance rows. With ``leave_one_out`` the queries
     are the training codes themselves and each column's own distance is
-    masked. A helper thread (``kernels._helper_thread``, gated on its
-    blocks' share of the ``A^T B`` product) ranks the later half of the
-    blocks while this thread ranks the rest; each block writes only its own
-    rows, so the result is that of ranking them in sequence.
+    masked. A helper thread (``kernels._helper_thread``) ranks the later
+    half of the blocks while this thread ranks the rest, when its rows of
+    the ``A^T B`` product pass ``kernels._paired``'s gate; each block
+    writes only its own rows, so the result is that of ranking them in
+    sequence.
     """
     k = max(ks)
     cols = np.empty((query_codes.shape[1], k), dtype=np.intp)
@@ -245,8 +246,8 @@ def _sweep_votes(
     half = (len(starts) + 1) // 2
     theirs = starts[half:]
     helper_rows = query_codes.shape[1] - theirs.start if theirs else 0
-    with _helper_thread(train_codes.size * helper_rows) as helper:
-        _paired(partial(rank, theirs), partial(rank, starts[:half]), helper)
+    with _helper_thread():
+        _paired(partial(rank, theirs), partial(rank, starts[:half]), train_codes.size * helper_rows)
     classes, class_ids = np.unique(train_labels, return_inverse=True)
     return classes[_running_votes(class_ids[cols], near, classes.size, ks)]
 

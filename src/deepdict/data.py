@@ -255,7 +255,9 @@ def _read_dense_lines(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_matrix(path: str) -> np.ndarray:
     # Whitespace-separated matrix: rows are features, columns are samples.
-    return np.array(_read_lines(path, str.split, _parse_floats, "empty matrix"), dtype=float)
+    # Each row becomes a float array as it is read, so no row's Python floats outlive it.
+    rows = _read_lines(path, str.split, lambda *row: np.array(_parse_floats(*row)), "empty matrix")
+    return np.array(rows, dtype=float)
 
 
 def _read_labels(path: str) -> np.ndarray:

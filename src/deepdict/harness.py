@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import glob
 import itertools
 import math
 import os
@@ -36,7 +37,6 @@ from .data import (
     split_per_class,
 )
 from .intraclass import DdlicConfig, DdlicModel, train_ddlic
-from .kernels import _openblas_libraries
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -285,6 +285,17 @@ _OPENBLAS_THREAD_SETTERS = (
     (np, "scipy_openblas_{}_num_threads64_"),
     (scipy, "scipy_openblas_{}_num_threads"),
 )
+
+
+def _openblas_libraries(package) -> list[ctypes.CDLL]:
+    """The OpenBLAS copies that ``package``'s wheel bundles in ``<package>.libs``.
+
+    NumPy's and SciPy's wheels each ship their own ``libscipy_openblas*.so``;
+    SciPy's is the one its LAPACK wrapper module links. Another install may
+    ship none, and then the list is empty.
+    """
+    libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
+    return [ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))]
 
 
 def _one_blas_thread() -> Callable[[], None]:

@@ -23,7 +23,6 @@ from .kernels import (
     RidgePolicy,
     _check_stack_settings,
     _check_trained_stack,
-    _pair_helper,
     _paired,
     _require_finite,
     _ridged_factor,
@@ -225,10 +224,9 @@ def update_representations(
     Without coupling (``alpha == 0``, or singleton classes) there is one
     position, so a group's columns take one solve together.
 
-    Inside ``baseline.alternate_layer``, when ``D^T D`` costs at least
-    ``kernels._PAIR_MIN_WORK`` multiply-adds, the helper forms it while this
-    thread forms ``X^T D`` (``kernels._paired``); the result is
-    bit-identical.
+    Inside ``baseline.alternate_layer``, the helper may form ``D^T D``
+    while this thread forms ``X^T D`` (``kernels._paired``, gated on the
+    ``k^2 d`` multiply-adds of the former); the result is bit-identical.
     """
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -244,7 +242,7 @@ def update_representations(
     gram, corr = _paired(
         lambda: dictionary.T @ dictionary,
         lambda: inputs.T @ dictionary,
-        _pair_helper(dictionary.shape[1] ** 2 * dictionary.shape[0]),
+        dictionary.shape[1] ** 2 * dictionary.shape[0],
     )
     old = codes.T
     out = np.empty_like(corr)

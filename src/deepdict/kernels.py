@@ -3,21 +3,19 @@
 Everything here is a function of its inputs plus an explicit seed where
 randomness is involved, so kernels can run concurrently on shared
 read-only matrices. Samples are columns throughout. The one other input is
-the context variable ``_SOLVE_HELPER``: while ``baseline.alternate_layer``
-sets it to its helper thread's executor, a pair of large independent
-products hands one of them to that helper through ``_paired``, with
-bit-identical results. Every product runs whole on one thread. That helper,
-and the one that ranks half of ``classify``'s query blocks, come from one
-gate, ``_helper_thread``.
+the context variable ``_SOLVE_HELPER``: inside a ``_helper_thread`` block
+(``baseline.alternate_layer`` and ``classify``'s neighbor sweep) it holds a
+helper thread's executor, and ``_paired``, the one gate, hands that helper
+the first of two independent calls when the call takes at least
+``_HELPER_MIN_WORK`` multiply-adds, with bit-identical results. Every
+product runs whole on one thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import copy
-import ctypes
 import functools
-import glob
 import importlib.machinery
 import importlib.util
 import math
@@ -98,70 +96,55 @@ def _lapack_cholesky():
 _POTRF, _POTRS, _POCON, _POTRI = _lapack_cholesky()
 
 
-def _openblas_libraries(package) -> list[ctypes.CDLL]:
-    """The OpenBLAS copies that ``package``'s wheel bundles in ``<package>.libs``.
-
-    NumPy's and SciPy's wheels each ship their own ``libscipy_openblas*.so``;
-    SciPy's is the one its LAPACK wrapper module links. Another install may
-    ship none, and then the list is empty.
-    """
-    libs = os.path.join(os.path.dirname(package.__path__[0]), f"{package.__name__}.libs")
-    return [ctypes.CDLL(path) for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))]
-
-
-# Below this many multiply-adds in a helper's share of the work, that work
-# costs less than handing it to a thread and back (0.1-0.7 ms on a 2-core VM),
-# and ``_helper_thread`` gives no helper.
+# Below this many multiply-adds in the call ``_paired`` would hand over, that
+# call costs less than handing it to a thread and back (0.1-0.7 ms on a 2-core
+# VM), and the pair runs in sequence.
 _HELPER_MIN_WORK = 1 << 21
+
+# Inside a ``_helper_thread`` block: its one-thread executor. ``_paired`` runs
+# the call it hands over with this unset, so work on the helper never hands
+# work to itself.
+_SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", default=None)
 
 
 @contextmanager
-def _helper_thread(work: int):
-    """A one-thread executor for the length of the block, or None to run inline.
+def _helper_thread():
+    """Publish a one-thread executor in ``_SOLVE_HELPER`` for the length of the block.
 
-    ``work`` is the multiply-adds of the helper's share. A child process of
-    ``multiprocessing`` (a pool worker, whose siblings keep the cores busy)
-    and work below ``_HELPER_MIN_WORK`` get None. The thread is joined on
-    leaving the block, so none outlives it.
+    A child process of ``multiprocessing`` (a pool worker, whose siblings
+    keep the cores busy) publishes none. The executor starts its thread at
+    the first hand-off, so a block that hands nothing over starts none. On
+    leaving the block, even by an error, the executor is withdrawn and its
+    thread joined, so none outlives it.
     """
-    if multiprocessing.parent_process() is not None or work < _HELPER_MIN_WORK:
-        yield None
+    if multiprocessing.parent_process() is not None:
+        yield
         return
     with ThreadPoolExecutor(max_workers=1) as helper:
-        yield helper
+        token = _SOLVE_HELPER.set(helper)
+        try:
+            yield
+        finally:
+            _SOLVE_HELPER.reset(token)
 
 
-# While ``baseline.alternate_layer`` runs with a helper thread: that helper's
-# executor. ``_paired`` runs the helper's call with this unset, so work on the
-# helper never hands work to itself.
-_SOLVE_HELPER: contextvars.ContextVar = contextvars.ContextVar("_SOLVE_HELPER", default=None)
-
-# Below this many multiply-adds in the helper's call, a pair of independent
-# products runs in sequence (``_pair_helper``). On a 2-core x86-64 VM with one
-# BLAS thread, pairing the 2.0 M products of the `paper-scale` layer-3 sweep
-# gained nothing (within 1-7 % either way, interleaved medians of 30-80 layers).
-_PAIR_MIN_WORK = 1 << 22
-
-
-def _pair_helper(work: int):
-    """The helper for a pair whose helper call costs ``work`` multiply-adds, or None."""
-    return _SOLVE_HELPER.get() if work >= _PAIR_MIN_WORK else None
-
-
-def _paired(first: Callable, second: Callable, helper) -> tuple:
+def _paired(first: Callable, second: Callable, work: int) -> tuple:
     """``(first(), second())`` for two independent calls.
 
-    With a ``helper`` executor, the helper runs ``first`` in a copy of this
-    thread's ``contextvars`` context (``np.errstate`` included) with
-    ``_SOLVE_HELPER`` unset, while this thread runs ``second``. ``first`` is
-    joined before this returns or raises, and its error wins, as in
-    sequence. With ``helper=None`` the two calls run in sequence here. Each
-    call runs whole and once, so the results are those of calls in sequence.
+    ``first`` runs in a copy of this thread's ``contextvars`` context
+    (``np.errstate`` included) with ``_SOLVE_HELPER`` unset, so it hands
+    nothing on. When a helper is published and ``work``, the multiply-adds
+    of ``first``, is at least ``_HELPER_MIN_WORK``, the helper runs ``first``
+    while this thread runs ``second``; ``first`` is joined before this
+    returns or raises, and its error wins, as in sequence. Otherwise the two
+    run in sequence here. Each call runs whole and once, so the results are
+    those of calls in sequence.
     """
-    if helper is None:
-        return first(), second()
+    helper = _SOLVE_HELPER.get()
     context = contextvars.copy_context()
     context.run(_SOLVE_HELPER.set, None)
+    if helper is None or work < _HELPER_MIN_WORK:
+        return context.run(first), second()
     future = helper.submit(context.run, first)
     try:
         result = second()
@@ -326,10 +309,10 @@ def ridge_code(
 ) -> np.ndarray:
     """Dense least-squares codes for ``inputs ~ dictionary @ codes``.
 
-    Inside ``baseline.alternate_layer``, when ``dictionary.T @ dictionary``
-    costs at least ``_PAIR_MIN_WORK`` multiply-adds, the helper forms and
-    factors it while this thread forms ``dictionary.T @ inputs``
-    (``_paired``); the result is bit-identical.
+    Inside ``baseline.alternate_layer``, the helper may form and factor
+    ``dictionary.T @ dictionary`` while this thread forms
+    ``dictionary.T @ inputs`` (``_paired``, gated on the ``k^2 d``
+    multiply-adds of the former); the result is bit-identical.
     """
     if dictionary.ndim != 2 or inputs.ndim != 2:
         raise ValueError("dictionary and inputs must be 2-D matrices")
@@ -340,7 +323,7 @@ def ridge_code(
     solve, corr = _paired(
         lambda: gram_solver(dictionary.T @ dictionary, policy),
         lambda: dictionary.T @ inputs,
-        _pair_helper(dictionary.shape[1] ** 2 * dictionary.shape[0]),
+        dictionary.shape[1] ** 2 * dictionary.shape[0],
     )
     return solve(corr)
 

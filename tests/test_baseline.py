@@ -376,11 +376,11 @@ from deepdict.kernels import (initial_dictionary, ridge_code, solve_least_square
                               sparse_objective)
 main, on_helper = threading.get_ident(), []
 def recording(paired):
-    def pair(first, second, helper):
+    def pair(first, second, work):
         def first_recorded():
             on_helper.append(threading.get_ident() != main)
             return first()
-        return paired(first_recorded, second, helper)
+        return paired(first_recorded, second, work)
     return pair
 kernels._paired = recording(kernels._paired)
 intraclass._paired = recording(intraclass._paired)
@@ -425,6 +425,54 @@ def _helper_seen_by_factors():
     return seen
 
 
+# Trains both stacks at grid-parallel's shape (200-dim inputs, 10 classes of
+# 30 columns, layers 128/96/64) and with an overcomplete first layer (784-dim
+# inputs, 5 columns, 400 atoms), with the helper gate open (0) and shut
+# (infinity). Prints the array count and whether every dictionary, code
+# matrix and trace match.
+_GATE_OPEN_MATCHES_SHUT = """
+import numpy as np
+from deepdict import kernels
+from deepdict.baseline import TrainConfig, train_ddl
+from deepdict.data import LabeledMatrix, make_synthetic_clusters
+from deepdict.intraclass import DdlicConfig, train_ddlic
+grid = make_synthetic_clusters(10, 30, 200, 6.0, seed=1)
+wide = LabeledMatrix(np.random.default_rng(31).normal(size=(784, 5)), np.array([0, 0, 1, 1, 1]))
+def arrays():
+    out = []
+    for train, sizes in ((grid, (128, 96, 64)), (wide, (400, 3))):
+        depth = len(sizes)
+        ic = train_ddlic(train, DdlicConfig(depth=depth, layer_sizes=sizes,
+                                            alphas=(1e-4,) * depth, iters_per_layer=2))
+        ddl = train_ddl(train.features, TrainConfig(depth=depth, layer_sizes=sizes,
+                                                    iters_per_layer=2))
+        out += [*ic.dictionaries, *ic.layer_reprs, *ic.traces,
+                *ddl.dictionaries, ddl.train_repr, *ddl.traces]
+    return out
+kernels._HELPER_MIN_WORK = 0
+gate_open = arrays()
+kernels._HELPER_MIN_WORK = float("inf")
+gate_shut = arrays()
+print(len(gate_open), all(np.array_equal(a, b) for a, b in zip(gate_open, gate_shut)))
+"""
+
+
+def _handed_over(monkeypatch, train):
+    """``train()``, and the work of each pair whose first call ran on the helper."""
+    paired, caller, handed = kernels._paired, threading.get_ident(), []
+
+    def recording(first, second, work):
+        def first_recorded():
+            if threading.get_ident() != caller:
+                handed.append(work)
+            return first()
+        return paired(first_recorded, second, work)
+
+    for module in (kernels, baseline, intraclass):
+        monkeypatch.setattr(module, "_paired", recording)
+    return train(), handed
+
+
 class TestPairedProducts:
     """Independent products run on the layer loop's two threads."""
 
@@ -432,9 +480,40 @@ class TestPairedProducts:
     def test_both_stacks_match_serial_loops(self, threads):
         assert _run_with_blas_threads(_PAIRS_MATCH_SERIAL, threads) == "True True True\n"
 
+    @pytest.mark.parametrize("threads", [None, 1], ids=["blas-threads-unset", "one-blas-thread"])
+    def test_the_gate_open_and_shut_train_the_same_stacks(self, threads):
+        assert _run_with_blas_threads(_GATE_OPEN_MATCHES_SHUT, threads) == "27 True\n"
+
+    def test_an_overcomplete_layer_pairs_its_gram(self, monkeypatch):
+        # the objective's 1.6 M multiply-adds stay below the gate, D^T D's 125 M pass it
+        x = RNG(31).normal(size=(784, 5))
+        init = initial_dictionary(x, 400, 1, "qr", 0)
+        gram = 400 * 400 * 784
+        assert x.size * 400 < kernels._HELPER_MIN_WORK <= gram
+        classes = [np.arange(2), np.arange(2, 5)]
+
+        def both():
+            return [*train_dense_layer(x, init, 2), *train_layer(x, 1e-4, 400, 2, classes, init)]
+
+        paired, handed = _handed_over(monkeypatch, both)
+        # each stack's starting codes and its two code steps
+        assert handed == [gram] * 6
+        monkeypatch.setattr(kernels, "_HELPER_MIN_WORK", float("inf"))
+        inline, handed = _handed_over(monkeypatch, both)
+        assert handed == [] and _same(paired, inline)
+
+    def test_a_serial_run_at_grid_parallel_shape_pairs_its_first_layer(self, monkeypatch):
+        # D^T D of the 128-atom layer on 200-dim inputs: 3.3 M multiply-adds
+        train = make_synthetic_clusters(10, 30, 200, 6.0, seed=1)
+        cfg = DdlicConfig(depth=3, layer_sizes=(128, 96, 64), alphas=(1e-4,) * 3,
+                          iters_per_layer=2)
+        _, handed = _handed_over(monkeypatch, lambda: train_ddlic(train, cfg))
+        assert 128 * 128 * 200 in handed
+        assert 96 * 96 * 128 < kernels._HELPER_MIN_WORK  # layer 2's stays inline
+
     def test_no_thread_or_helper_outlives_a_pair(self, monkeypatch):
         inputs, init = _instance(29, d=300, k=120, n=300)
-        assert 120 * 120 * 300 >= kernels._PAIR_MIN_WORK
+        assert 120 * 120 * 300 >= kernels._HELPER_MIN_WORK
         code_step = lambda dictionary, codes: ridge_code(dictionary, inputs)
         objective = lambda dictionary, codes: sparse_objective(dictionary, inputs, codes, 0.0)
         before = threading.active_count()
@@ -460,7 +539,7 @@ class TestPairedProducts:
     def test_the_refresh_factors_on_the_owning_thread(self, monkeypatch):
         # the codes stay the starting codes, so the factors after the first are the refreshes'
         inputs, init = _instance(30, d=300, k=120, n=300)
-        assert 120 * 120 * 300 >= kernels._PAIR_MIN_WORK
+        assert 120 * 120 * 300 >= kernels._HELPER_MIN_WORK
         factored, factor = [], kernels._ridged_factor
         monkeypatch.setattr(kernels, "_ridged_factor", lambda *args: (
             factored.append(threading.get_ident()) or factor(*args)))

@@ -569,6 +569,21 @@ class TestDenseFileMemory:
         assert _peak_bytes(lambda: save_labeled_matrix(data, path)) <= data.features.nbytes / 2
 
 
+class TestPairFileMemory:
+    """A pair-format matrix becomes float arrays row by row: its Python floats
+    are never held whole."""
+
+    def test_load_peaks_below_three_matrices(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = LabeledMatrix(rng.standard_normal((200, 600)), rng.integers(0, 10, 600))
+        mat, lab = str(tmp_path / "x.txt"), str(tmp_path / "y.txt")
+        save_labeled_matrix(data, mat, format="pair", labels_path=lab)
+        peak = _peak_bytes(lambda: load_labeled_matrix(mat, format="pair", labels_path=lab))
+        assert peak <= 3 * data.features.nbytes
+        back = load_labeled_matrix(mat, format="pair", labels_path=lab)
+        assert np.array_equal(back.features, data.features)
+
+
 def test_save_writes_shortest_reprs(tmp_path):
     feats = np.array([[0.1, -0.0, 5e-324], [1e16, 2.5, -1.0]])
     data = LabeledMatrix(feats, np.array([-3, 7, 2**62]))

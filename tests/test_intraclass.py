@@ -36,6 +36,8 @@ from deepdict.kernels import (
 
 RNG = np.random.default_rng
 
+pytestmark = pytest.mark.usefixtures("no_thread_outlives_the_test")
+
 
 def _class_index(counts):
     idx, start = [], 0

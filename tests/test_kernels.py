@@ -5,7 +5,6 @@ import re
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from deepdict.kernels import (
 )
 
 RNG = np.random.default_rng
+
+pytestmark = pytest.mark.usefixtures("no_thread_outlives_the_test")
 
 
 def oracle_ista(dictionary, inputs, l1_weight, cfg, warm_start=None):
@@ -319,15 +320,6 @@ class SecondFailed(Exception):
     pass
 
 
-def _as_owner(helper, fn):
-    """``fn()`` with ``helper`` set as the layer loop's helper."""
-    token = kernels._SOLVE_HELPER.set(helper)
-    try:
-        return fn()
-    finally:
-        kernels._SOLVE_HELPER.reset(token)
-
-
 def _blocked(helper, release):
     """Occupy ``helper``'s one thread until ``release`` is set. The returned
     future raises ``TimeoutError`` if that takes more than 10 s, so a test
@@ -344,8 +336,18 @@ def _blocked(helper, release):
     return held
 
 
+# Far above the gate: a pair given this work hands ``first`` to a published helper.
+LARGE = 1 << 40
+
+
+def _pair_in_a_block(first, second, work=LARGE):
+    """``kernels._paired(first, second, work)`` inside a ``_helper_thread()`` block."""
+    with kernels._helper_thread():
+        return kernels._paired(first, second, work)
+
+
 class TestPairs:
-    """Two independent calls of the layer loop overlap on its helper thread."""
+    """Two independent calls overlap on the helper a ``_helper_thread()`` block publishes."""
 
     def _threads(self, wait=False):
         """Two calls that record the thread each runs on and return their names;
@@ -366,43 +368,65 @@ class TestPairs:
 
     def test_the_first_call_runs_on_the_helper(self):
         seen, first, second = self._threads(wait=True)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            got = kernels._paired(first, second, helper)
-        assert got == ("first", "second")
+        assert _pair_in_a_block(first, second) == ("first", "second")
         assert seen["second"] == threading.get_ident() != seen["first"]
 
-    def test_no_pair_below_the_gate_without_a_helper_or_on_the_helper(self):
+    def test_the_gate_is_inclusive(self):
+        me, gate = threading.get_ident(), kernels._HELPER_MIN_WORK
+        with kernels._helper_thread():
+            at = kernels._paired(threading.get_ident, threading.get_ident, gate)
+            below = kernels._paired(threading.get_ident, threading.get_ident, gate - 1)
+        assert at[1] == me != at[0]
+        assert below == (me, me)
+
+    def test_nothing_is_handed_over_outside_a_block(self):
         me = threading.get_ident()
         seen, first, second = self._threads()
-        assert kernels._pair_helper(1 << 40) is None
-        assert kernels._paired(first, second, None) == ("first", "second")
+        assert kernels._SOLVE_HELPER.get() is None
+        assert kernels._paired(first, second, LARGE) == ("first", "second")
         assert seen == {"first": me, "second": me}
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            gate = kernels._PAIR_MIN_WORK
-            assert _as_owner(helper, lambda: kernels._pair_helper(gate)) is helper
-            assert _as_owner(helper, lambda: kernels._pair_helper(gate - 1)) is None
-            # work on the helper must not wait on itself
-            on_helper, _ = _as_owner(helper, lambda: kernels._paired(
-                lambda: kernels._pair_helper(1 << 40), lambda: None, helper,
-            ))
-            assert on_helper is None
+
+    def test_a_block_below_the_gate_starts_no_thread(self):
+        before = threading.active_count()
+        with kernels._helper_thread():
+            counts = [kernels._paired(threading.active_count, threading.active_count,
+                                      kernels._HELPER_MIN_WORK - 1) for _ in range(3)]
+            after = threading.active_count()
+        assert counts == [(before, before)] * 3 and after == before
+
+    def test_the_helper_is_withdrawn_when_the_block_raises(self):
+        before = threading.active_count()
+        with pytest.raises(FirstFailed):
+            with kernels._helper_thread():
+                kernels._paired(lambda: None, lambda: None, LARGE)  # starts the thread
+                assert threading.active_count() == before + 1
+                raise FirstFailed("in the block")
+        assert kernels._SOLVE_HELPER.get() is None
+        assert threading.active_count() == before
 
     def test_the_helpers_call_sees_no_helper(self):
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            seen = _as_owner(helper, lambda: kernels._paired(
-                kernels._SOLVE_HELPER.get, kernels._SOLVE_HELPER.get, helper,
-            ))
-        assert seen == (None, helper)
+        me = threading.get_ident()
+        with kernels._helper_thread():
+            helper = kernels._SOLVE_HELPER.get()
+            on_helper = kernels._paired(kernels._SOLVE_HELPER.get, kernels._SOLVE_HELPER.get, LARGE)
+            inline = kernels._paired(kernels._SOLVE_HELPER.get, kernels._SOLVE_HELPER.get, 0)
+            # work on the helper must not wait on itself
+            nested, _ = kernels._paired(
+                lambda: kernels._paired(threading.get_ident, threading.get_ident, LARGE),
+                lambda: None, LARGE,
+            )
+        assert helper is not None and on_helper == inline == (None, helper)
+        assert nested[0] == nested[1] != me
 
     def test_a_busy_helper_is_waited_for(self):
         seen, first, second = self._threads()
         release = threading.Event()
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            held = _blocked(helper, release)
+        with kernels._helper_thread():
+            held = _blocked(kernels._SOLVE_HELPER.get(), release)
             timer = threading.Timer(0.1, release.set)
             timer.start()
             try:
-                got = kernels._paired(first, second, helper)
+                got = kernels._paired(first, second, LARGE)
             finally:
                 timer.join(timeout=10)
             held.result(timeout=30)
@@ -410,18 +434,15 @@ class TestPairs:
         assert seen["second"] == threading.get_ident() != seen["first"]
 
     def test_pairs_leave_the_solvers_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_PAIR_MIN_WORK", 0)
+        monkeypatch.setattr(kernels, "_HELPER_MIN_WORK", 0)
         rng = RNG(26)
         dictionary, inputs, codes = (rng.normal(size=s) for s in ((30, 12), (30, 50), (12, 50)))
         want = (ridge_code(dictionary, inputs), solve_least_squares_dictionary(inputs, codes))
         factored, factor = [], kernels._ridged_factor
         monkeypatch.setattr(kernels, "_ridged_factor", lambda *args: (
             factored.append(threading.get_ident()) or factor(*args)))
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            got = _as_owner(helper, lambda: (
-                ridge_code(dictionary, inputs),
-                solve_least_squares_dictionary(inputs, codes),
-            ))
+        with kernels._helper_thread():
+            got = (ridge_code(dictionary, inputs), solve_least_squares_dictionary(inputs, codes))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # ridge_code's factor runs on the helper, the refresh's on this thread
         assert len(factored) == 2 and factored[0] != factored[1] == threading.get_ident()
@@ -434,18 +455,14 @@ class TestPairs:
                 raise error
             return run
 
-        def pair(first, second):
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                return kernels._paired(first, second, helper)
-
         with pytest.raises(FirstFailed) as caught:
-            pair(fail(first_error), fail(second_error))
+            _pair_in_a_block(fail(first_error), fail(second_error))
         assert caught.value is first_error
         with pytest.raises(FirstFailed) as caught:
-            pair(fail(first_error), lambda: 1)
+            _pair_in_a_block(fail(first_error), lambda: 1)
         assert caught.value is first_error
         with pytest.raises(SecondFailed) as caught:
-            pair(lambda: 1, fail(second_error))
+            _pair_in_a_block(lambda: 1, fail(second_error))
         assert caught.value is second_error
 
     def test_the_helper_finishes_its_call_before_the_pair_raises(self):
@@ -458,17 +475,15 @@ class TestPairs:
         def failing_second():
             raise SecondFailed("second")
 
-        with ThreadPoolExecutor(max_workers=1) as helper:
+        with kernels._helper_thread():
             with pytest.raises(SecondFailed):
-                kernels._paired(slow_first, failing_second, helper)
+                kernels._paired(slow_first, failing_second, LARGE)
             assert finished == [True]
 
     def test_the_helper_sees_the_callers_errstate(self):
         seen, first, second = self._threads(wait=True)
-        with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(over="raise"):
-            errstate = kernels._paired(
-                lambda: first() and np.geterr()["over"], second, helper,
-            )[0]
+        with np.errstate(over="raise"):
+            errstate = _pair_in_a_block(lambda: first() and np.geterr()["over"], second)[0]
         assert seen["first"] != threading.get_ident() and errstate == "raise"
 
 
